@@ -74,7 +74,6 @@ from .simulation import (
     StudyResult,
     clt_study,
     generate_responses,
-    ise_tilde,
     run_study,
     target_function,
 )

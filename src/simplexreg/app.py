@@ -163,32 +163,17 @@ class FitResult:
     grid: tuple[GridRow, ...] = field(repr=False)
 
 
-def _ll_on_points(design: Design, b: float, points: np.ndarray, threads: int):
-    if threads <= 1 or points.shape[0] < 2 * threads:
-        est, _ = KernelWeights(design.points, points, b).ll(design.responses)
-        return est
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [c for c in np.array_split(points, 4 * threads) if len(c)]
-
-    def one(chunk):
-        est, _ = KernelWeights(design.points, chunk, b).ll(design.responses)
-        return est
-
-    with ThreadPoolExecutor(threads) as pool:
-        return np.concatenate(list(pool.map(one, chunks)))
-
-
 def fit_and_grid(
     design: Design,
     search: BandwidthSearch | None = None,
     grid_resolution: int = 50,
-    threads: int = 1,
 ) -> FitResult:
     """Select the local linear bandwidth by LOOCV and evaluate it on a grid."""
     result = select_loocv_ll(design, search)
     grid_points = barycentric_grid(grid_resolution)
-    est = _ll_on_points(design, result.b_hat, grid_points, threads)
+    est, _ = KernelWeights(design.points, grid_points, result.b_hat).ll(
+        design.responses
+    )
     rows = []
     for (s1, s2), value in zip(grid_points, est):
         s3 = max(0.0, 1.0 - s1 - s2)

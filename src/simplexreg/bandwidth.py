@@ -2,10 +2,13 @@
 
 Two criteria are provided: a Monte Carlo least-squares criterion against a
 known target (the simulation-study selector) and leave-one-out
-cross-validation for the local linear smoother on real data.  Both can be
-multimodal, so the minimizer evaluates a log-spaced grid first and only then
-refines the best bracket by golden section; the full evaluation trace is
-returned for plotting.
+cross-validation for the local linear smoother on real data.  The latter
+runs on the one chunked local linear solver of
+:class:`~simplexreg.estimators.KernelWeights`, with each point's own weight
+removed (``leave_one_out=True``).  Both criteria can be multimodal, so the
+minimizer evaluates a log-spaced grid first and only then refines the best
+bracket by golden section; the full evaluation trace is returned for
+plotting.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubature import CubatureConfig
-from .errors import AllInfiniteError, InsufficientDataError
-from .estimators import GM, Design, batch_estimate
+from .errors import AllInfiniteError
+from .estimators import GM, Design, KernelWeights, batch_estimate
 from .geometry import SimplexPartition
-from .kernel import log_kappa_matrix, validate_points
+from .kernel import validate_points
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -129,65 +132,31 @@ def lscv(
     """
     U = validate_points(eval_sample, dim=design.dim)
     est = batch_estimate(method, design, b, U, partition=partition, cfg=cfg)
-    truth = np.asarray(m_true(U), dtype=float)
+    return _mc_ise(est, np.asarray(m_true(U), dtype=float), design.dim)
+
+
+def _mc_ise(est: np.ndarray, truth: np.ndarray, dim: int) -> float:
+    """``sum_i |est_i - truth_i|^2 / (N d!)`` over the N finite terms;
+    ``inf`` when no term is finite."""
     sq = (est - truth) ** 2
     ok = np.isfinite(sq)
     if not np.any(ok):
         return float("inf")
-    d_fact = float(math.factorial(design.dim))
-    return float(sq[ok].sum() / (ok.sum() * d_fact))
-
-
-def _loo_ll_predictions(design: Design, b: float, rcond: float = 1e-10) -> np.ndarray:
-    """Leave-one-out local linear fits evaluated at their held-out points.
-
-    Each left-out system is assembled exactly (the held-out row never enters
-    the normal equations, and the log-weight rescaling ignores it too), in
-    chunks to bound memory; singular systems fall back to the leave-one-out
-    kernel average, and NaN marks points with no support at all.
-    """
-    X, Y = design.points, design.responses
-    n, d = X.shape
-    if n < d + 2:
-        raise InsufficientDataError(
-            f"leave-one-out local linear needs n >= {d + 2}, got {n}"
-        )
-    logw = log_kappa_matrix(X, b, X)
-    np.fill_diagonal(logw, -np.inf)
-    out = np.empty(n)
-    chunk = max(1, min(n, 16_000_000 // (8 * max(n, 1) * (d + 1))))
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        lw = logw[rows]
-        top = lw.max(axis=1)
-        dead = np.isneginf(top)
-        top = np.where(dead, 0.0, top)
-        w = np.exp(lw - top[:, None])
-        diff = X[None, :, :] - X[rows][:, None, :]
-        z = np.concatenate([np.ones((w.shape[0], n, 1)), diff], axis=2)
-        wz = w[:, :, None] * z
-        A = np.einsum("mnj,mnk->mjk", wz, z)
-        rhs = np.einsum("mnj,n->mj", wz, Y)
-        svals = np.linalg.svd(A, compute_uv=False)
-        singular = (svals[:, -1] <= rcond * svals[:, 0]) | ~np.isfinite(svals).all(
-            axis=1
-        )
-        vals = np.full(w.shape[0], np.nan)
-        good = ~singular & ~dead
-        if np.any(good):
-            vals[good] = np.linalg.solve(A[good], rhs[good][:, :, None])[:, 0, 0]
-        fb = singular & ~dead
-        if np.any(fb):
-            vals[fb] = (w[fb] @ Y) / w[fb].sum(axis=1)
-        out[rows] = vals
-    return out
+    return float(sq[ok].sum() / (ok.sum() * float(math.factorial(dim))))
 
 
 def loocv_ll(design: Design, b: float) -> float:
     """Leave-one-out cross-validation for the local linear smoother:
     ``(1/n) sum_i (y_i - mhat_(-i)(x_i))^2``; ``inf`` if any held-out
-    prediction is undefined (a flagged, skippable bandwidth)."""
-    preds = _loo_ll_predictions(design, b)
+    prediction is undefined (a flagged, skippable bandwidth).
+
+    The held-out predictions are the local linear fits of
+    ``KernelWeights(..., leave_one_out=True)``: row i drops observation i
+    from both the normal equations and the log-weight rescaling, and a
+    singular system falls back to the leave-one-out kernel average.
+    """
+    X = design.points
+    preds, _ = KernelWeights(X, X, b, leave_one_out=True).ll(design.responses)
     if np.any(np.isnan(preds)):
         return float("inf")
     return float(np.mean((design.responses - preds) ** 2))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -171,18 +170,9 @@ def _cmd_estimate(args) -> int:
         raise _UsageError("provide --at or --eval-points")
     cfg = CubatureConfig(relative_tolerance=args.rtol)
     partition = voronoi_partition(design.points) if args.method == "GM" else None
-
-    def run(chunk):
-        return batch_estimate(
-            args.method, design, args.bandwidth, chunk, partition=partition, cfg=cfg
-        )
-
-    if args.threads > 1 and points.shape[0] > 1:
-        chunks = [c for c in np.array_split(points, 4 * args.threads) if len(c)]
-        with ThreadPoolExecutor(args.threads) as pool:
-            values = np.concatenate(list(pool.map(run, chunks)))
-    else:
-        values = run(points)
+    values = batch_estimate(
+        args.method, design, args.bandwidth, points, partition=partition, cfg=cfg
+    )
     failed = int(np.isnan(values).sum())
     if failed == values.size:
         raise AllWeightsVanishedError(
@@ -341,7 +331,6 @@ def _cmd_fit(args) -> int:
         loaded.design,
         search=_search_from_args(args),
         grid_resolution=args.grid_resolution,
-        threads=args.threads,
     )
     _emit(app.grid_csv_text(result.grid), args.out)
     payload = {
@@ -395,7 +384,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eval-points", help="CSV with columns s1,s2")
     p.add_argument("--at", help="single point 's1,s2'")
     p.add_argument("--rtol", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_estimate)
 
@@ -440,7 +428,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--clay", default="clay")
     p.add_argument("--response", default="pH")
     p.add_argument("--grid-resolution", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="fit_grid.csv")
     _add_search_args(p)
     p.set_defaults(func=_cmd_fit)

@@ -21,6 +21,7 @@ peaked and the weights are astronomically small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .geometry import SIMPLEX_TRIANGLE, ConvexCell
 # Hard safety valve against pathological integrands; generous enough that a
 # smooth integrand at the default tolerances never gets close.
 _MAX_TRIANGLES = 262144
+# Most bands a graded root triangulation puts along each simplex edge.
+_GRADED_LEVELS = 12
 
 
 def _orbit3(a: float) -> list[tuple[float, float, float]]:
@@ -244,7 +247,7 @@ def _split_at_line(polys: list[np.ndarray], normal: np.ndarray, offset: float):
     return out
 
 
-def graded_simplex_roots(vertices, scale: float, max_levels: int = 12) -> np.ndarray:
+def graded_simplex_roots(vertices, scale: float) -> np.ndarray:
     """Root triangles for a cell, geometrically graded toward simplex edges.
 
     The smoothing kernel for centers near a simplex edge concentrates in a
@@ -259,7 +262,7 @@ def graded_simplex_roots(vertices, scale: float, max_levels: int = 12) -> np.nda
         for normal in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])):
             # offset value of the simplex edge along this normal
             base = -1.0 if normal[0] < 0 else 0.0
-            for k in range(max_levels):
+            for k in range(_GRADED_LEVELS):
                 level = base + scale * 4.0**k
                 # layers thicker than ~0.2 are visible to the error
                 # estimator without help
@@ -267,6 +270,17 @@ def graded_simplex_roots(vertices, scale: float, max_levels: int = 12) -> np.nda
                     break
                 polys = _split_at_line(polys, normal, level)
     return np.concatenate([fan_triangulation(p) for p in polys])
+
+
+@lru_cache(maxsize=8192)
+def _cached_graded_roots(vertex_bytes: bytes, scale: float) -> np.ndarray:
+    """Read-only :func:`graded_simplex_roots` of a cell given by its vertex
+    bytes.  The roots depend only on the cell and the scale, and a study
+    integrates over the same cells at the same bandwidths in every
+    replication."""
+    roots = graded_simplex_roots(np.frombuffer(vertex_bytes).reshape(-1, 2), scale)
+    roots.setflags(write=False)
+    return roots
 
 
 def _as_batch_callable(f):
@@ -316,20 +330,17 @@ def integrate_polygon_batch(
     cell,
     n_components: int,
     cfg: CubatureConfig | None = None,
-    column_aware: bool = False,
     boundary_layer_scale: float = 0.0,
 ):
     """Integrate a vector-valued integrand over a convex polygonal cell.
 
-    ``f_batch`` maps an ``(q, 2)`` array of points to ``(q, n_components)``
-    values; all components share evaluations, each is refined until it meets
-    its own tolerance, and converged components freeze while the rest keep
-    refining.  With ``column_aware=True`` the callable is invoked as
-    ``f_batch(points, cols)`` and must return values for the requested
-    component columns only, which avoids evaluating frozen components.  A
-    positive ``boundary_layer_scale`` grades the initial triangulation
-    toward the simplex edges at that scale (see
-    :func:`graded_simplex_roots`).
+    ``f_batch(points, cols)`` maps an ``(q, 2)`` array of points to the
+    ``(q, len(cols))`` values of the requested component columns; all
+    components share evaluations, each is refined until it meets its own
+    tolerance, and converged components freeze (they are no longer
+    requested) while the rest keep refining.  A positive
+    ``boundary_layer_scale`` grades the initial triangulation toward the
+    simplex edges at that scale (see :func:`graded_simplex_roots`).
 
     Returns ``(values, error_estimates, converged, triangles)`` with the
     first two of shape ``(n_components,)``.
@@ -337,12 +348,14 @@ def integrate_polygon_batch(
     cfg = cfg or CubatureConfig()
     verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
     roots = (
-        graded_simplex_roots(verts, boundary_layer_scale)
+        _cached_graded_roots(
+            np.ascontiguousarray(verts, dtype=float).tobytes(),
+            float(boundary_layer_scale),
+        )
         if boundary_layer_scale > 0.0
         else fan_triangulation(verts)
     )
-    fb = f_batch if column_aware else (lambda pts, cols: f_batch(pts)[:, cols])
-    return _adaptive(fb, roots, cfg, n_components)
+    return _adaptive(f_batch, roots, cfg, n_components)
 
 
 def shrunken_simplex_triangle(eps: float = 1e-4) -> np.ndarray:

@@ -32,6 +32,8 @@ from .geometry import SimplexPartition
 from .kernel import last_coordinate, log_kappa_matrix, validate_points
 
 LL_RCOND = 1e-10
+# Memory budget of one row chunk of the LL design tensors, in bytes.
+LL_CHUNK_BYTES = 16_000_000
 
 GM = "GM"
 NW = "NW"
@@ -113,7 +115,7 @@ def gm_weight_matrix(
     converged = np.empty(len(partition), dtype=bool)
     for j, cell in enumerate(partition.cells):
         vals, _, ok, _ = integrate_polygon_batch(
-            f_batch, cell, m, cfg, column_aware=True, boundary_layer_scale=b
+            f_batch, cell, m, cfg, boundary_layer_scale=b
         )
         weights[:, j] = np.maximum(vals, 0.0)
         converged[j] = ok
@@ -181,26 +183,28 @@ def gm_estimate(
 
 
 class KernelWeights:
-    """Kernel structures shared by NW/LL evaluation at a fixed bandwidth.
+    """Kernel weights of one (design points, evaluation points, bandwidth)
+    triple, shared by NW and LL evaluation.
 
-    Precomputes, for one (design points, evaluation points, bandwidth)
-    triple, everything that does not depend on the responses: the stabilized
-    kernel weight rows and, on demand, the local linear normal equations.
-    The study harness reuses one instance across many response vectors.
+    Holds the stabilized kernel weight rows, which do not depend on the
+    responses.  With ``leave_one_out=True`` the evaluation points are the
+    design points themselves and each point's own weight is removed before
+    the row rescaling, so row i is the fit without observation i.
     """
 
-    def __init__(self, x_points, eval_points, b: float):
+    def __init__(self, x_points, eval_points, b: float, leave_one_out: bool = False):
         self.X = validate_points(x_points)
         self.S = validate_points(eval_points, dim=self.X.shape[1])
+        self.leave_one_out = leave_one_out
         logw = log_kappa_matrix(self.S, b, self.X)
+        if leave_one_out:
+            if self.S.shape != self.X.shape:
+                raise MismatchError("leave-one-out weights need the design as points")
+            np.fill_diagonal(logw, -np.inf)
         top = logw.max(axis=1)
         self.dead = np.isneginf(top)
         self.w = np.exp(logw - np.where(self.dead, 0.0, top)[:, None])
         self.den = self.w.sum(axis=1)
-        self._wz: np.ndarray | None = None
-        self._A: np.ndarray | None = None
-        self._singular: np.ndarray | None = None
-        self._rcond: float | None = None
 
     def nw(self, responses: np.ndarray) -> np.ndarray:
         """Kernel-weighted averages; NaN where all weights vanished."""
@@ -208,37 +212,47 @@ class KernelWeights:
         out[self.dead] = np.nan
         return out
 
-    def _build_ll(self, rcond: float) -> None:
-        m, n = self.w.shape
-        diff = self.X[None, :, :] - self.S[:, None, :]
-        z = np.concatenate([np.ones((m, n, 1)), diff], axis=2)
-        self._wz = self.w[:, :, None] * z
-        A = np.einsum("mnj,mnk->mjk", self._wz, z)
-        svals = np.linalg.svd(A, compute_uv=False)
-        self._singular = (svals[:, -1] <= rcond * svals[:, 0]) | ~np.isfinite(
-            svals
-        ).all(axis=1)
-        self._A = A
-        self._rcond = rcond
+    def ll(self, responses: np.ndarray):
+        """Intercepts of the weighted affine fits, with NW fallback flags.
 
-    def ll(self, responses: np.ndarray, rcond: float = LL_RCOND):
-        """Intercepts of the weighted affine fits, with NW fallback flags."""
+        ``responses`` has shape ``(n,)`` or ``(n, r)``; the estimates have
+        shape ``(m,)`` or ``(m, r)`` and the flags ``(m,)``.  The normal
+        matrices are built once per row chunk of at most ``LL_CHUNK_BYTES``
+        and shared by all response columns; a flag marks a point whose
+        matrix is singular within ``LL_RCOND``, where the NW value is
+        substituted.  NaN marks points where every weight vanished.
+        """
         n, d = self.X.shape
-        if n < d + 1:
-            raise InsufficientDataError(
-                f"local linear fit needs n >= {d + 1}, got {n}"
-            )
-        if self._A is None or self._rcond != rcond:
-            self._build_ll(rcond)
-        rhs = np.einsum("mnj,n->mj", self._wz, responses)
-        est = np.full(self.S.shape[0], np.nan)
-        good = ~self._singular & ~self.dead
-        if np.any(good):
-            est[good] = np.linalg.solve(self._A[good], rhs[good][:, :, None])[:, 0, 0]
-        fell_back = self._singular & ~self.dead
-        if np.any(fell_back):
-            est[fell_back] = (self.w[fell_back] @ responses) / self.den[fell_back]
-        return est, fell_back
+        need = d + 2 if self.leave_one_out else d + 1
+        if n < need:
+            raise InsufficientDataError(f"local linear fit needs n >= {need}, got {n}")
+        Y = np.asarray(responses, dtype=float)
+        cols = [np.ascontiguousarray(y) for y in Y.reshape(n, -1).T]
+        m = self.S.shape[0]
+        est = np.full((m, len(cols)), np.nan)
+        fell_back = np.zeros(m, dtype=bool)
+        step = max(1, LL_CHUNK_BYTES // (8 * n * (d + 1)))
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            w = self.w[rows]
+            diff = self.X[None, :, :] - self.S[rows][:, None, :]
+            z = np.concatenate([np.ones((w.shape[0], n, 1)), diff], axis=2)
+            wz = w[:, :, None] * z
+            A = np.einsum("mnj,mnk->mjk", wz, z)
+            svals = np.linalg.svd(A, compute_uv=False)
+            singular = (svals[:, -1] <= LL_RCOND * svals[:, 0]) | ~np.isfinite(
+                svals
+            ).all(axis=1)
+            live = ~self.dead[rows]
+            good, fb = live & ~singular, live & singular
+            fell_back[rows] = fb
+            vals = est[rows]
+            for c, y in enumerate(cols):
+                rhs = np.einsum("mnj,n->mj", wz, y)
+                vals[good, c] = np.linalg.solve(A[good], rhs[good][:, :, None])[:, 0, 0]
+                # the first normal equation alone is the NW average
+                vals[fb, c] = rhs[fb, 0] / A[fb, 0, 0]
+        return (est[:, 0] if Y.ndim == 1 else est), fell_back
 
 
 def nw_batch(design: Design, b: float, eval_points) -> np.ndarray:
@@ -256,31 +270,25 @@ def nw_estimate(design: Design, b: float, s) -> float:
     return float(out[0])
 
 
-def ll_batch(
-    design: Design,
-    b: float,
-    eval_points,
-    rcond: float = LL_RCOND,
-):
+def ll_batch(design: Design, b: float, eval_points):
     """Local linear estimates at many points.
 
     Returns ``(estimates, fell_back)``; a True flag marks points where the
-    weighted normal equations were singular within ``rcond`` and the
+    weighted normal equations were singular within ``LL_RCOND`` and the
     Nadaraya-Watson value was substituted.  NaN marks points where even that
     was impossible (all weights vanished).
     """
-    return KernelWeights(design.points, eval_points, b).ll(design.responses, rcond)
+    return KernelWeights(design.points, eval_points, b).ll(design.responses)
 
 
 def ll_estimate(
     design: Design,
     b: float,
     s,
-    rcond: float = LL_RCOND,
     diagnostics: list | None = None,
 ) -> float:
     """Local linear estimate at one point, with flagged NW fallback."""
-    est, fell_back = ll_batch(design, b, np.atleast_2d(np.asarray(s, float)), rcond)
+    est, fell_back = ll_batch(design, b, np.atleast_2d(np.asarray(s, float)))
     if np.isnan(est[0]):
         raise AllWeightsVanishedError(
             "all kernel weights vanished; no design point supports this estimate"

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import TargetFunction, clt_standardize, uniform_profile
-from .bandwidth import BandwidthSearch, lscv, minimize_bandwidth
+from .bandwidth import BandwidthSearch, _mc_ise, lscv, minimize_bandwidth
 from .cubature import CubatureConfig
 from .errors import DegenerateIqrWarning, UnknownFunctionError
 from .estimators import (
@@ -179,23 +179,6 @@ def generate_responses(
     return Design(points=pts, responses=truth + eps)
 
 
-def ise_tilde(
-    method: str,
-    design: Design,
-    b_hat: float,
-    m: TargetFunction,
-    eval_sample,
-    partition=None,
-    cfg: CubatureConfig | None = None,
-) -> float:
-    """Monte Carlo integrated squared error at a selected bandwidth.
-
-    Same formula as the LSCV criterion (divisor ``N * d!``), evaluated at
-    the chosen bandwidth on the same uniform sample.
-    """
-    return lscv(method, design, m, eval_sample, b_hat, partition, cfg)
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Configuration of a Monte Carlo comparison study."""
@@ -254,44 +237,34 @@ def _rep_seeds(master: int, k: int, rep: int):
 def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
     """LSCV values on the shared grid for every (function, method) pair.
 
-    One kernel-weight structure and one GM weight matrix per bandwidth,
-    shared across all functions; values agree bit-for-bit with
-    :func:`simplexreg.bandwidth.lscv` because the same primitives run
-    underneath.
+    Per bandwidth, one kernel-weight structure and one GM weight matrix
+    serve all functions, and one local linear solve takes the responses of
+    every function as columns.  Values agree bit-for-bit with
+    :func:`simplexreg.bandwidth.lscv`: the same solver and the same
+    criterion formula run underneath.
     """
     grid = cfg.search.grid
+    dim = points.shape[1]
+    ys = [designs[f].responses for f in cfg.functions]
     out = {
         (f, meth): np.full(grid.size, np.inf)
         for f in cfg.functions
         for meth in cfg.methods
     }
-    d_fact = float(math.factorial(points.shape[1]))
     for bi, b in enumerate(grid):
-        kw = (
-            KernelWeights(points, sample, b)
-            if (NW in cfg.methods or LL in cfg.methods)
-            else None
-        )
-        gm_W = None
+        ests = {}
         if GM in cfg.methods:
             gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
-        for f in cfg.functions:
-            y = designs[f].responses
-            truth = truths[f]
-            for meth in cfg.methods:
-                try:
-                    if meth == GM:
-                        est = gm_W @ y
-                    elif meth == NW:
-                        est = kw.nw(y)
-                    else:
-                        est, _ = kw.ll(y)
-                except Exception:
-                    continue
-                sq = (est - truth) ** 2
-                ok = np.isfinite(sq)
-                if np.any(ok):
-                    out[(f, meth)][bi] = sq[ok].sum() / (ok.sum() * d_fact)
+            ests[GM] = [gm_W @ y for y in ys]
+        if NW in cfg.methods or LL in cfg.methods:
+            kw = KernelWeights(points, sample, b)
+            if NW in cfg.methods:
+                ests[NW] = [kw.nw(y) for y in ys]
+            if LL in cfg.methods:
+                ests[LL] = kw.ll(np.column_stack(ys))[0].T
+        for meth, per_function in ests.items():
+            for f, est in zip(cfg.functions, per_function):
+                out[(f, meth)][bi] = _mc_ise(est, truths[f], dim)
     return out
 
 
@@ -456,7 +429,6 @@ __all__ = [
     "target_function",
     "noise_sd",
     "generate_responses",
-    "ise_tilde",
     "StudyConfig",
     "StudyResult",
     "run_study",

@@ -137,17 +137,6 @@ class TestFitAndGrid:
         labels = {row.category.label for row in result.grid}
         assert labels == {"Neutral"}
 
-    def test_threads_do_not_change_values(self):
-        pts = random_interior_points(40, 77)
-        responses = np.sin(pts[:, 0]) + pts[:, 1]
-        from simplexreg import Design
-
-        design = Design(points=pts, responses=responses)
-        search = BandwidthSearch(grid=np.geomspace(0.1, 0.6, 4), refine=False)
-        r1 = fit_and_grid(design, search=search, grid_resolution=10, threads=1)
-        r2 = fit_and_grid(design, search=search, grid_resolution=10, threads=3)
-        assert [g.estimate for g in r1.grid] == [g.estimate for g in r2.grid]
-
 
 class TestGridExport:
     def test_barycentric_grid_covers_simplex(self):

@@ -14,6 +14,7 @@ from simplexreg.cubature import (
     _BARY,
     _W5,
     _W7,
+    _cached_graded_roots,
     fan_triangulation,
     graded_simplex_roots,
     integrate_polygon_batch,
@@ -154,8 +155,8 @@ class TestBatchEngine:
         cells = partition7.cells[:4]
         s_batch = np.array([[0.3, 0.3], [0.5, 0.2], [0.1, 0.6]])
 
-        def f_batch(pts):
-            return np.column_stack([kappa(s, 0.15, pts) for s in s_batch])
+        def f_batch(pts, cols):
+            return np.column_stack([kappa(s, 0.15, pts) for s in s_batch[cols]])
 
         for cell in cells:
             vals, errs, ok, _ = integrate_polygon_batch(f_batch, cell, 3)
@@ -175,6 +176,23 @@ class TestBatchEngine:
             - (roots[:, 1, 1] - roots[:, 0, 1]) * (roots[:, 2, 0] - roots[:, 0, 0])
         )
         assert areas.sum() == pytest.approx(0.5, abs=1e-10)
+
+    def test_graded_roots_are_reused_read_only(self, partition7):
+        cell = partition7.cells[0]
+        key = (np.ascontiguousarray(cell.vertices).tobytes(), 0.05)
+        roots = _cached_graded_roots(*key)
+        assert np.array_equal(roots, graded_simplex_roots(cell.vertices, 0.05))
+        assert _cached_graded_roots(*key) is roots
+        assert not roots.flags.writeable
+
+        centers = np.array([[0.1, 0.8], [0.05, 0.9]])
+
+        def f_batch(pts, cols):
+            return np.column_stack([kappa(s, 0.05, pts) for s in centers[cols]])
+
+        first = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
+        again = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
+        assert np.array_equal(first[0], again[0]) and first[2:] == again[2:]
 
     def test_fan_triangulation_covers_polygon(self, partition7):
         for cell in partition7.cells[:6]:

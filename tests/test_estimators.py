@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from simplexreg import (
     CubatureConfig,
     Design,
+    KernelWeights,
     batch_estimate,
     gm_estimate,
     gm_weights,
@@ -16,6 +19,8 @@ from simplexreg import (
     uniform_simplex_sample,
     voronoi_partition,
 )
+from simplexreg import estimators
+from simplexreg.app import barycentric_grid
 from simplexreg.errors import (
     AllWeightsVanishedError,
     InsufficientDataError,
@@ -153,6 +158,50 @@ class TestLl:
         assert fell_back[0]
         nw = nw_batch(design, 5e-4, np.array([[0.9, 0.05]]))
         assert est[0] == pytest.approx(nw[0], rel=1e-12)
+
+
+class TestLlSolver:
+    """The one chunked local linear solver behind grid, study and LOOCV."""
+
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    def test_one_row_chunks_match_default(self, mesh10, monkeypatch, leave_one_out):
+        # b = 2e-3 mixes solved points with points that fall back to NW
+        S = mesh10 if leave_one_out else barycentric_grid(20)
+        y = np.sin(3 * mesh10[:, 0]) + mesh10[:, 1] ** 2
+        kw = KernelWeights(mesh10, S, 2e-3, leave_one_out=leave_one_out)
+        est, fell_back = kw.ll(y)
+        assert 0 < fell_back.sum() < S.shape[0]
+        monkeypatch.setattr(estimators, "LL_CHUNK_BYTES", 1)
+        est_rows, fell_back_rows = kw.ll(y)
+        assert np.array_equal(est_rows, est, equal_nan=True)
+        assert np.array_equal(fell_back_rows, fell_back)
+
+    def test_response_columns_match_single_solves(self, mesh10):
+        Y = np.column_stack(
+            [np.log1p(mesh10.sum(axis=1)), np.sin(mesh10[:, 0]), mesh10[:, 1] ** 3]
+        )
+        kw = KernelWeights(mesh10, barycentric_grid(20), 2e-3)
+        est, fell_back = kw.ll(Y)
+        assert est.shape == (231, 3) and fell_back.shape == (231,)
+        for c in range(3):
+            est_c, fell_back_c = kw.ll(Y[:, c])
+            assert np.array_equal(est[:, c], est_c, equal_nan=True)
+            assert np.array_equal(fell_back, fell_back_c)
+
+    def test_memory_stays_bounded_on_a_large_grid(self):
+        X = random_interior_points(1000, 5)
+        kw = KernelWeights(X, barycentric_grid(100), 0.05)
+        tracemalloc.start()
+        try:
+            kw.ll(np.cos(X[:, 0]) + X[:, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_leave_one_out_needs_the_design_as_points(self, mesh7):
+        with pytest.raises(MismatchError):
+            KernelWeights(mesh7, mesh7[:5], 0.1, leave_one_out=True)
 
 
 class TestBatch:

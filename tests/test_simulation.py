@@ -8,7 +8,6 @@ from simplexreg import (
     StudyConfig,
     clt_study,
     generate_responses,
-    ise_tilde,
     lscv,
     run_study,
     target_function,
@@ -16,7 +15,7 @@ from simplexreg import (
 )
 from simplexreg.errors import DegenerateIqrWarning, UnknownFunctionError
 from simplexreg.estimators import gm_weight_matrix
-from simplexreg.simulation import noise_sd
+from simplexreg.simulation import _grid_criterion_values, noise_sd
 from simplexreg.asymptotics import TargetFunction, bias_g
 
 
@@ -84,27 +83,20 @@ class TestGenerateResponses:
 
 
 class TestIseTilde:
+    """The study's ISE at a selected bandwidth is the LSCV criterion there."""
+
     def test_zero_for_perfect_estimator(self, mesh7):
         m = lambda p: 3.0 + np.asarray(p)[..., 0] - np.asarray(p)[..., 1]
         design = Design(points=mesh7, responses=m(mesh7))
         sample = uniform_simplex_sample(200, 2)
-        assert ise_tilde("LL", design, 0.3, m, sample) < 1e-16
-
-    def test_equals_lscv_at_selected_bandwidth(self, mesh7):
-        m1 = target_function("m1")
-        design = generate_responses(m1, mesh7, seed=10)
-        sample = uniform_simplex_sample(300, 11)
-        b_hat = 0.17
-        assert ise_tilde("NW", design, b_hat, m1, sample) == lscv(
-            "NW", design, m1, sample, b_hat
-        )
+        assert lscv("LL", design, m, sample, 0.3) < 1e-16
 
     def test_reproducible_bit_for_bit(self, mesh7):
         m1 = target_function("m1")
         design = generate_responses(m1, mesh7, seed=8)
         sample = uniform_simplex_sample(250, 12)
-        a = ise_tilde("LL", design, 0.12, m1, sample)
-        b = ise_tilde("LL", design, 0.12, m1, sample)
+        a = lscv("LL", design, m1, sample, 0.12)
+        b = lscv("LL", design, m1, sample, 0.12)
         assert a == b
 
 
@@ -162,6 +154,28 @@ class TestRunStudy:
         assert row.mean == pytest.approx(min(values) * 1e7, rel=1e-12)
         assert row.median == row.mean
         assert row.sd == 0.0
+
+    def test_grid_values_equal_lscv_bit_for_bit(self, mesh7):
+        # the study solves LL for all functions at once; each column must be
+        # the value lscv gets for that function alone, fallbacks included
+        cfg = self.small_config(
+            functions=("m1", "m2", "m4"),
+            k_values=(7,),
+            methods=("NW", "LL"),
+            search=BandwidthSearch(grid=np.geomspace(1e-3, 0.5, 5), refine=False),
+        )
+        sample = uniform_simplex_sample(200, 5)
+        designs = {
+            f: generate_responses(target_function(f), mesh7, 6) for f in cfg.functions
+        }
+        truths = {f: np.asarray(target_function(f)(sample)) for f in cfg.functions}
+        values = _grid_criterion_values(cfg, mesh7, None, sample, designs, truths)
+        for (f, meth), curve in values.items():
+            expected = [
+                lscv(meth, designs[f], target_function(f), sample, b)
+                for b in cfg.search.grid
+            ]
+            assert curve.tolist() == expected
 
     def test_bias_rate_matches_exact_smoothing_curve(self, mesh14, partition14):
         # for m5 at the centroid the smoothing bias is exactly g * b/(1+4b)
