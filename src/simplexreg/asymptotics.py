@@ -18,15 +18,23 @@ All functions here are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from .cubature import CubatureConfig, integrate_simplex
-from .errors import BoundaryError, DomainError, MissingDerivativesError, ZeroBiasError
-from .kernel import last_coordinate, validate_point
+from .errors import (
+    BoundaryError,
+    DomainError,
+    MismatchError,
+    MissingDerivativesError,
+    ZeroBiasError,
+)
+from .kernel import last_coordinate, validate_point, validate_points
 
 FD_STEP = 1e-5
 # second differences lose ~eps/h^2 to cancellation, so the Hessian uses the
@@ -70,10 +78,15 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Noise variance and design density as functions on the simplex."""
+    """Noise variance and design density as functions on the simplex.
 
-    sigma2: Callable[[np.ndarray], float]
-    design_density: Callable[[np.ndarray], float]
+    Both callables take points shaped ``(..., d)`` and return either a scalar
+    (a constant) or an array shaped ``(...)``, one value per point; the
+    integrals of :func:`mise_constants` pass whole ``(n, d)`` batches.
+    """
+
+    sigma2: Callable[[np.ndarray], float | np.ndarray]
+    design_density: Callable[[np.ndarray], float | np.ndarray]
 
 
 def uniform_profile(sigma2: float, dim: int = 2) -> VarianceProfile:
@@ -172,27 +185,43 @@ def bias_g(m: TargetFunction, s) -> float:
     return first + second
 
 
-def psi_J(s, J=()) -> float:
+def psi_J(s, J=()) -> float | np.ndarray:
     """Variance constant ``{(4 pi)^(d-|J|) s_{d+1} prod_{i not in J} s_i}^-1/2``.
 
     ``J`` holds the (zero-based) indices of coordinates that shrink
     proportionally to the bandwidth; the interior case is ``J = ()``.
+
+    ``s`` is one point of shape ``(d,)``, for which a float is returned, or
+    a batch of shape ``(n, d)``, for which an ``(n,)`` array is returned.
+    Each batch entry equals the single-point call on that row bit for bit,
+    except for rows that validation clamps back onto the simplex.  Any
+    invalid row raises: :class:`DomainError` outside the simplex,
+    :class:`BoundaryError` on a boundary face the constant diverges on.
     """
-    s = validate_point(s)
-    d = s.size
+    pts = np.asarray(s, dtype=float)
+    single = pts.ndim <= 1
+    if pts.ndim > 2:
+        raise DomainError(f"expected a point (d,) or points (n, d), got shape {pts.shape}")
+    pts = validate_point(pts)[None, :] if single else validate_points(pts)
+    d = pts.shape[1]
     J = tuple(sorted(set(int(j) for j in J)))
     if any(j < 0 or j >= d for j in J):
         raise DomainError(f"J must index coordinates 0..{d - 1}, got {J}")
-    rest = float(last_coordinate(s))
-    if rest <= 0.0:
+    prod = last_coordinate(pts)
+    if np.any(prod <= 0.0):
         raise BoundaryError("psi requires s_{d+1} > 0")
-    keep = [i for i in range(d) if i not in J]
-    prod = rest
-    for i in keep:
-        if s[i] <= 0.0:
+    for i in range(d):
+        if i in J:
+            continue
+        if np.any(pts[:, i] <= 0.0):
             raise BoundaryError(f"psi requires s_{i + 1} > 0 for i not in J")
-        prod *= s[i]
-    return float(((4.0 * np.pi) ** (d - len(J)) * prod) ** -0.5)
+        prod = prod * pts[:, i]
+    base = (4.0 * np.pi) ** (d - len(J)) * prod
+    # numpy's vectorized power may take a SIMD path whose last bit differs
+    # from libm pow; libm pow per element keeps every entry equal to the
+    # single-point value, and the iterator builds no intermediate list.
+    vals = np.fromiter(map(math.pow, base, repeat(-0.5)), dtype=float, count=base.size)
+    return float(vals[0]) if single else vals
 
 
 def _gamma_shrink_factor(lam: float) -> float:
@@ -260,6 +289,16 @@ def mse_opt_bandwidth(
     return _optimal_from_constants(g * g, vconst, n, s.size)
 
 
+def _profile_values(fn, points: np.ndarray, name: str) -> np.ndarray:
+    vals = np.asarray(fn(points), dtype=float)
+    if vals.shape not in ((), points.shape[:-1]):
+        raise MismatchError(
+            f"profile.{name} returned shape {vals.shape} for points of shape "
+            f"{points.shape}; expected a scalar or {points.shape[:-1]}"
+        )
+    return vals
+
+
 def mise_constants(
     m: TargetFunction,
     profile: VarianceProfile,
@@ -267,18 +306,25 @@ def mise_constants(
 ) -> tuple[float, float]:
     """The two MISE integrals over the 2-simplex: integrated squared bias
     coefficient and integrated variance constant (the latter over the
-    epsilon-shrunken simplex, since it diverges on the boundary)."""
+    epsilon-shrunken simplex, since it diverges on the boundary).
+
+    The variance integrand is evaluated once per cubature round on the
+    whole batch of points, so ``profile.sigma2`` and
+    ``profile.design_density`` receive ``(n, 2)`` arrays and must return a
+    scalar or an ``(n,)`` array (any other shape raises
+    :class:`MismatchError`).  The bias coefficient is evaluated point by
+    point, because the derivative callbacks of ``m`` act on a single point.
+    """
     cfg = cfg or CubatureConfig()
 
     def g2(points: np.ndarray) -> np.ndarray:
         return np.array([bias_g(m, p) ** 2 for p in points])
 
     def vfun(points: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                psi_J(p) * profile.sigma2(p) / profile.design_density(p)
-                for p in points
-            ]
+        return (
+            psi_J(points)
+            * _profile_values(profile.sigma2, points, "sigma2")
+            / _profile_values(profile.design_density, points, "design_density")
         )
 
     g2_int = integrate_simplex(g2, cfg).value
@@ -305,22 +351,29 @@ def mise_opt_bandwidth(
 
 
 def clt_standardize(
-    estimate: float,
+    estimate,
     s,
     m: TargetFunction,
     profile: VarianceProfile,
     n: int,
     b: float,
-) -> float:
-    """Studentize an estimate by the limiting normal scale:
-    ``n^1/2 b^d/4 (estimate - m(s)) / sqrt(psi(s) sigma^2(s) / f(s))``."""
+) -> float | np.ndarray:
+    """Studentize estimates by the limiting normal scale:
+    ``n^1/2 b^d/4 (estimate - m(s)) / sqrt(psi(s) sigma^2(s) / f(s))``.
+
+    ``estimate`` is a float, for which a float is returned, or an array of
+    estimates at the same point ``s``, standardized elementwise into an
+    array of the same shape.
+    """
     s = validate_point(s)
     d = s.size
     sig2 = profile.sigma2(s)
     if sig2 <= 0.0:
         raise DomainError("sigma^2(s) must be positive")
     scale = np.sqrt(psi_J(s) * sig2 / profile.design_density(s))
-    return float(np.sqrt(n) * b ** (d / 4.0) * (estimate - float(m(s))) / scale)
+    est = np.asarray(estimate, dtype=float)
+    z = np.sqrt(n) * b ** (d / 4.0) * (est - float(m(s))) / scale
+    return float(z) if est.ndim == 0 else z
 
 
 __all__ = [

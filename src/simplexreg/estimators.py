@@ -203,7 +203,9 @@ class KernelWeights:
             np.fill_diagonal(logw, -np.inf)
         top = logw.max(axis=1)
         self.dead = np.isneginf(top)
-        self.w = np.exp(logw - np.where(self.dead, 0.0, top)[:, None])
+        # in place, so only one m x n array is alive at a time
+        logw -= np.where(self.dead, 0.0, top)[:, None]
+        self.w = np.exp(logw, out=logw)
         self.den = self.w.sum(axis=1)
 
     def nw(self, responses: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from .kernel import last_coordinate, validate_points
 
 CLIP_TOL = 1e-12
 DEDUP_TOL = 1e-10
+# relative slack on the bisector skip test of voronoi_cell, far above rounding
+_SKIP_MARGIN = 1.0 + 1e-9
 
 SIMPLEX_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -147,6 +149,10 @@ def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
     return np.array(out) if out else np.empty((0, 2))
 
 
+def _radius(vertices: np.ndarray, s: np.ndarray) -> float:
+    return float(np.sqrt(((vertices - s) ** 2).sum(axis=1)).max())
+
+
 def _dedup_ring(vertices: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     if vertices.shape[0] == 0:
         return vertices
@@ -165,18 +171,30 @@ def voronoi_cell(site, other_sites, domain: np.ndarray = SIMPLEX_TRIANGLE) -> np
     Iterated half-plane clipping against the perpendicular bisector of the
     site and every other site; O(n) per cell, O(n^2) for the full partition,
     which is plenty for the few hundred sites used anywhere in this package.
+
+    A site ``t`` farther than twice the cell's radius ``R = max_v |v - s|``
+    from ``s`` is skipped: every vertex is then strictly nearer ``s`` than
+    ``t``, so the clip would return the cell unchanged.  The cell only
+    shrinks, so ``R`` is recomputed after each clip that changes it.
     """
     poly = np.asarray(domain, dtype=float)
     s = np.asarray(site, dtype=float)
-    for t in np.atleast_2d(np.asarray(other_sites, dtype=float)):
-        diff = t - s
-        dist = np.linalg.norm(diff)
+    others = np.atleast_2d(np.asarray(other_sites, dtype=float))
+    dists = np.linalg.norm(others - s, axis=1)
+    reach = _SKIP_MARGIN * 2.0 * _radius(poly, s)
+    for t, dist in zip(others, dists.tolist()):
         if dist <= 1e-12:
             raise DegenerateSiteError(f"coincident sites at {s}")
+        if dist > reach:
+            continue
         # points closer to s than t: (t - s) . x <= (|t|^2 - |s|^2) / 2
-        poly = _clip_halfplane(poly, diff, 0.5 * (t @ t - s @ s))
+        clipped = _clip_halfplane(poly, t - s, 0.5 * (t @ t - s @ s))
+        if clipped is poly:
+            continue
+        poly = clipped
         if poly.shape[0] < 3:
             break
+        reach = _SKIP_MARGIN * 2.0 * _radius(poly, s)
     return _dedup_ring(poly)
 
 

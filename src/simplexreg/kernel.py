@@ -189,7 +189,10 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
     # correct under the 0*log 0 = 0 convention (0 * finite is 0, while
     # 0 * -inf would poison the product with NaN).
     np.maximum(logX, -1e300, out=logX)
-    out = norm[:, None] + (S_full @ logX.T) / b
+    # in place, so only one m x n array is alive at a time
+    out = S_full @ logX.T
+    out /= b
+    out += norm[:, None]
     zero_x = X_full == 0.0
     if zero_x.any():
         # A positive exponent meeting a zero coordinate is exactly -inf.

@@ -29,7 +29,7 @@ from scipy import stats
 from .asymptotics import TargetFunction, clt_standardize, uniform_profile
 from .bandwidth import BandwidthSearch, _mc_ise, lscv, minimize_bandwidth
 from .cubature import CubatureConfig
-from .errors import DegenerateIqrWarning, UnknownFunctionError
+from .errors import DegenerateIqrWarning, SimplexregError, UnknownFunctionError
 from .estimators import (
     GM,
     LL,
@@ -329,7 +329,7 @@ def run_study(cfg: StudyConfig) -> list[StudyResult]:
                                 cfg.search,
                             )
                             ise_val = res.objective_value
-                        except Exception:
+                        except SimplexregError:
                             failures[(f, meth)] += 1
                             continue
                     ise[(f, meth)].append(ise_val)
@@ -416,9 +416,7 @@ def clt_study(
     noise = rng.standard_normal((replications, n)) * sigma
     estimates = base + noise @ w
     profile = uniform_profile(sigma**2, dim=2)
-    z = np.array(
-        [clt_standardize(e, s, m, profile, n, b) for e in estimates]
-    )
+    z = clt_standardize(estimates, s, m, profile, n, b)
     z = z - z.mean()
     ks = float(stats.kstest(z, "norm").statistic)
     return CltStudyResult(standardized=z, ks_statistic=ks)

@@ -14,12 +14,13 @@ from simplexreg import (
     variance_leading,
 )
 from simplexreg.asymptotics import (
+    VarianceProfile,
     fd_gradient,
     fd_hessian,
     mise_constants,
     mse_expression,
 )
-from simplexreg.errors import BoundaryError, DomainError, ZeroBiasError
+from simplexreg.errors import BoundaryError, DomainError, MismatchError, ZeroBiasError
 
 from conftest import random_interior_points
 
@@ -100,6 +101,32 @@ class TestPsi:
             psi_J([0.5, 0.5])
         # coordinates in J may sit on the boundary
         assert np.isfinite(psi_J([0.0, 0.3], J=(0,)))
+
+    @pytest.mark.parametrize("J", [(), (0,), (0, 1)])
+    def test_batch_equals_per_row_calls(self, J):
+        pts = random_interior_points(200, 9, margin=1e-3)
+        batch = psi_J(pts, J)
+        assert isinstance(batch, np.ndarray) and batch.shape == (200,)
+        assert batch.tolist() == [psi_J(p, J) for p in pts]
+
+    def test_point_gives_float_and_batch_gives_array(self):
+        assert type(psi_J(np.array([0.2, 0.3]))) is float
+        assert psi_J(np.empty((0, 2))).shape == (0,)
+
+    def test_one_boundary_row_fails_the_batch(self):
+        pts = random_interior_points(5, 3)
+        pts[2] = [0.0, 0.4]
+        with pytest.raises(BoundaryError):
+            psi_J(pts)
+        assert psi_J(pts, J=(0,)).shape == (5,)
+        pts[2] = [0.7, 0.3]  # on the face s_3 = 0, which no J can excuse
+        with pytest.raises(BoundaryError):
+            psi_J(pts, J=(0, 1))
+        pts[2] = [0.8, 0.4]
+        with pytest.raises(DomainError):
+            psi_J(pts)
+        with pytest.raises(DomainError):
+            psi_J(np.full((2, 3, 2), 0.2))
 
 
 class TestVarianceLeading:
@@ -212,6 +239,24 @@ class TestMiseOptimal:
             mise_opt, rel=1e-10
         )
 
+    def test_array_profile_matches_constant_profile(self):
+        # callables returning one value per point give the same integral as
+        # the constants they reproduce
+        m5 = target_function("m5")
+        arrays = VarianceProfile(
+            sigma2=lambda s: np.full(np.shape(s)[:-1], 1.7),
+            design_density=lambda s: np.full(np.shape(s)[:-1], 2.0),
+        )
+        assert mise_constants(m5, arrays) == mise_constants(m5, uniform_profile(1.7))
+
+    @pytest.mark.parametrize("field", ["sigma2", "design_density"])
+    def test_rejects_profile_values_of_the_wrong_shape(self, field):
+        good = lambda s: np.ones(np.shape(s)[:-1])
+        bad = lambda s: np.ones(np.shape(s)[:-1] + (1,))
+        profile = VarianceProfile(**{"sigma2": good, "design_density": good, field: bad})
+        with pytest.raises(MismatchError):
+            mise_constants(target_function("m5"), profile)
+
 
 class TestCltStandardize:
     def test_zero_at_truth(self):
@@ -236,3 +281,14 @@ class TestCltStandardize:
         z_100 = clt_standardize(1.0, s, m5, profile, 100, 0.1)
         z_400 = clt_standardize(1.0, s, m5, profile, 400, 0.1)
         assert z_400 == pytest.approx(2.0 * z_100, rel=1e-12)
+
+    def test_array_equals_elementwise_calls(self):
+        m5 = target_function("m5")
+        s = [0.3, 0.3]
+        profile = uniform_profile(2.0)
+        estimates = np.random.default_rng(4).normal(1.0, 0.3, size=50)
+        z = clt_standardize(estimates, s, m5, profile, 100, 0.1)
+        assert z.shape == (50,)
+        assert z.tolist() == [
+            clt_standardize(e, s, m5, profile, 100, 0.1) for e in estimates
+        ]

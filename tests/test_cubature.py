@@ -117,13 +117,13 @@ class TestIntegrateSimplex:
             j = np.arange(n - i - 1) + 0.5
             bvals = j * cell
             pts = v0 + a * (v1 - v0) + bvals[:, None] * (v2 - v0)
-            total += np.sum([psi_J(p) for p in pts])
+            total += np.sum(psi_J(pts))
         jac = abs(
             (v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0]
         )
         oracle = total * cell * cell * jac
         res = integrate_simplex(
-            lambda p: np.array([psi_J(q) for q in p]),
+            psi_J,
             CubatureConfig(relative_tolerance=1e-3),
             boundary_singular=True,
             eps=eps,

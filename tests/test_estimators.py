@@ -199,6 +199,20 @@ class TestLlSolver:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
+    def test_weights_keep_one_matrix_alive(self):
+        # design points without zero coordinates: the m x n weight matrix
+        # (39 MiB for 5151 x 990) is the only large array built
+        X = random_interior_points(990, 5)
+        grid = barycentric_grid(100)
+        tracemalloc.start()
+        try:
+            kw = KernelWeights(X, grid, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kw.w.nbytes > 38 * 2**20
+        assert peak < 60 * 2**20
+
     def test_leave_one_out_needs_the_design_as_points(self, mesh7):
         with pytest.raises(MismatchError):
             KernelWeights(mesh7, mesh7[:5], 0.1, leave_one_out=True)

@@ -16,7 +16,7 @@ from simplexreg import (
     voronoi_partition,
 )
 from simplexreg.errors import DegenerateSiteError, DomainError
-from simplexreg.geometry import SIMPLEX_TRIANGLE
+from simplexreg.geometry import SIMPLEX_TRIANGLE, _clip_halfplane, _dedup_ring
 
 
 class TestMeshDesignPoints:
@@ -89,6 +89,27 @@ class TestVoronoiPartition:
         part = voronoi_partition(mesh_design_points(20))
         assert len(part) == 210
         assert part.total_area() == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sites",
+        [mesh_design_points(k) for k in (7, 10, 14, 20)]
+        + [uniform_simplex_sample(200, seed) for seed in (1, 2, 3)],
+        ids=["mesh7", "mesh10", "mesh14", "mesh20", "unif1", "unif2", "unif3"],
+    )
+    def test_skipped_bisectors_leave_cells_bit_identical(self, sites):
+        # reference: clip against the bisector of every other site, in order
+        def plain_cell(i):
+            s = sites[i]
+            poly = SIMPLEX_TRIANGLE
+            for t in np.delete(sites, i, axis=0):
+                poly = _clip_halfplane(poly, t - s, 0.5 * (t @ t - s @ s))
+                if poly.shape[0] < 3:
+                    break
+            return _dedup_ring(poly)
+
+        part = voronoi_partition(sites)
+        for i, cell in enumerate(part.cells):
+            assert np.array_equal(cell.vertices, plain_cell(i))
 
     def test_point_location_consistency(self, partition7):
         pts = uniform_simplex_sample(10_000, 5150)
