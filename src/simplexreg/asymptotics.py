@@ -193,16 +193,15 @@ def psi_J(s, J=()) -> float | np.ndarray:
 
     ``s`` is one point of shape ``(d,)``, for which a float is returned, or
     a batch of shape ``(n, d)``, for which an ``(n,)`` array is returned.
-    Each batch entry equals the single-point call on that row bit for bit,
-    except for rows that validation clamps back onto the simplex.  Any
-    invalid row raises: :class:`DomainError` outside the simplex,
+    Each batch entry equals the single-point call on that row bit for bit.
+    Any invalid row raises: :class:`DomainError` outside the simplex,
     :class:`BoundaryError` on a boundary face the constant diverges on.
     """
     pts = np.asarray(s, dtype=float)
     single = pts.ndim <= 1
     if pts.ndim > 2:
         raise DomainError(f"expected a point (d,) or points (n, d), got shape {pts.shape}")
-    pts = validate_point(pts)[None, :] if single else validate_points(pts)
+    pts = validate_points(pts)
     d = pts.shape[1]
     J = tuple(sorted(set(int(j) for j in J)))
     if any(j < 0 or j >= d for j in J):

@@ -3,9 +3,10 @@
 Two criteria are provided: a Monte Carlo least-squares criterion against a
 known target (the simulation-study selector) and leave-one-out
 cross-validation for the local linear smoother on real data.  The latter
-runs on the one chunked local linear solver of
-:class:`~simplexreg.estimators.KernelWeights`, with each point's own weight
-removed (``leave_one_out=True``).  Both criteria can be multimodal, so the
+runs on the one local linear solver of
+:class:`~simplexreg.estimators.KernelWeights`, which works from weighted
+moments of the design, with each point's own weight removed
+(``leave_one_out=True``).  Both criteria can be multimodal, so the
 minimizer evaluates a log-spaced grid first and only then refines the best
 bracket by golden section; the full evaluation trace is returned for
 plotting.

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import MismatchError
 from .geometry import SIMPLEX_TRIANGLE, ConvexCell
 
 # Hard safety valve against pathological integrands; generous enough that a
@@ -284,16 +285,13 @@ def _cached_graded_roots(vertex_bytes: bytes, scale: float) -> np.ndarray:
 
 
 def _as_batch_callable(f):
-    """Accept either a vectorized f((q, 2)) -> (q,) or a scalar f(point)."""
+    """The engine's ``(points, cols)`` form of an integrand ``f((q, 2)) -> (q,)``."""
 
     def call(pts: np.ndarray, _cols) -> np.ndarray:
-        try:
-            out = np.asarray(f(pts), dtype=float)
-            if out.shape == (pts.shape[0],):
-                return out[:, None]
-        except Exception:
-            pass
-        return np.array([float(f(p)) for p in pts])[:, None]
+        out = np.asarray(f(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
+            raise MismatchError(f"integrand gave shape {out.shape} for points {pts.shape}")
+        return out[:, None]
 
     return call
 
@@ -304,8 +302,9 @@ def integrate_polygon(f, cell, cfg: CubatureConfig | None = None) -> CubatureRes
     Parameters
     ----------
     f : callable
-        Real-valued integrand on simplex points; called with an ``(q, 2)``
-        array of points (a scalar-only callable also works, at a cost).
+        Real-valued integrand on simplex points: maps an ``(q, 2)`` array
+        of points to their ``(q,)`` values.  Any other shape raises
+        :class:`MismatchError`.
     cell : ConvexCell or (m, 2) array
         The integration region.
     cfg : CubatureConfig, optional

@@ -32,8 +32,6 @@ from .geometry import SimplexPartition
 from .kernel import last_coordinate, log_kappa_matrix, validate_points
 
 LL_RCOND = 1e-10
-# Memory budget of one row chunk of the LL design tensors, in bytes.
-LL_CHUNK_BYTES = 16_000_000
 
 GM = "GM"
 NW = "NW"
@@ -210,7 +208,8 @@ class KernelWeights:
 
     def nw(self, responses: np.ndarray) -> np.ndarray:
         """Kernel-weighted averages; NaN where all weights vanished."""
-        out = (self.w @ responses) / np.where(self.dead, 1.0, self.den)
+        # numpy's own loop, not BLAS: a point's value does not depend on its batch
+        out = np.einsum("mn,n->m", self.w, responses) / np.where(self.dead, 1.0, self.den)
         out[self.dead] = np.nan
         return out
 
@@ -218,43 +217,47 @@ class KernelWeights:
         """Intercepts of the weighted affine fits, with NW fallback flags.
 
         ``responses`` has shape ``(n,)`` or ``(n, r)``; the estimates have
-        shape ``(m,)`` or ``(m, r)`` and the flags ``(m,)``.  The normal
-        matrices are built once per row chunk of at most ``LL_CHUNK_BYTES``
-        and shared by all response columns; a flag marks a point whose
-        matrix is singular within ``LL_RCOND``, where the NW value is
-        substituted.  NaN marks points where every weight vanished.
+        shape ``(m,)`` or ``(m, r)`` and the flags ``(m,)``.  The fits come
+        from weighted moments: one contraction of the weight rows with the
+        design columns ``z z^T`` and ``y z`` (``z = [1, x]``) gives each
+        point's uncentred normal matrix ``R`` and right-hand sides ``r``,
+        and centring them at the evaluation point ``s`` gives
+        ``A = T R T^T`` and ``T r`` with ``T = [[1, 0], [-s, I]]``.  A flag
+        marks a point whose ``A`` is singular within ``LL_RCOND``, where the
+        NW value is substituted.  NaN marks points where every weight
+        vanished.  The contraction is numpy's own loop, not BLAS, so a
+        point's values do not depend on the other points of the call.
         """
         n, d = self.X.shape
         need = d + 2 if self.leave_one_out else d + 1
         if n < need:
             raise InsufficientDataError(f"local linear fit needs n >= {need}, got {n}")
         Y = np.asarray(responses, dtype=float)
-        cols = [np.ascontiguousarray(y) for y in Y.reshape(n, -1).T]
-        m = self.S.shape[0]
-        est = np.full((m, len(cols)), np.nan)
-        fell_back = np.zeros(m, dtype=bool)
-        step = max(1, LL_CHUNK_BYTES // (8 * n * (d + 1)))
-        for start in range(0, m, step):
-            rows = slice(start, start + step)
-            w = self.w[rows]
-            diff = self.X[None, :, :] - self.S[rows][:, None, :]
-            z = np.concatenate([np.ones((w.shape[0], n, 1)), diff], axis=2)
-            wz = w[:, :, None] * z
-            A = np.einsum("mnj,mnk->mjk", wz, z)
-            svals = np.linalg.svd(A, compute_uv=False)
-            singular = (svals[:, -1] <= LL_RCOND * svals[:, 0]) | ~np.isfinite(
-                svals
-            ).all(axis=1)
-            live = ~self.dead[rows]
-            good, fb = live & ~singular, live & singular
-            fell_back[rows] = fb
-            vals = est[rows]
-            for c, y in enumerate(cols):
-                rhs = np.einsum("mnj,n->mj", wz, y)
-                vals[good, c] = np.linalg.solve(A[good], rhs[good][:, :, None])[:, 0, 0]
-                # the first normal equation alone is the NW average
-                vals[fb, c] = rhs[fb, 0] / A[fb, 0, 0]
-        return (est[:, 0] if Y.ndim == 1 else est), fell_back
+        if Y.ndim not in (1, 2) or Y.shape[0] != n:
+            raise MismatchError(f"responses of shape {Y.shape} for {n} design points")
+        cols = Y.reshape(n, -1).T
+        m, r = self.S.shape[0], cols.shape[0]
+        z = np.vstack([np.ones(n), self.X.T])
+        j, k = np.triu_indices(d + 1)
+        P = np.vstack([z[j] * z[k], *(y * z for y in cols)])
+        M = np.einsum("mn,kn->mk", self.w, P)
+        A = np.empty((m, d + 1, d + 1))
+        A[:, j, k] = A[:, k, j] = M[:, : j.size]
+        rhs = M[:, j.size :].reshape(m, r, d + 1)
+        # T R, then (T R) T^T, then T r; row and column 0 stay as they are
+        A[:, 1:, :] -= self.S[:, :, None] * A[:, None, 0, :]
+        A[:, :, 1:] -= A[:, :, :1] * self.S[:, None, :]
+        rhs[:, :, 1:] -= rhs[:, :, :1] * self.S[:, None, :]
+        svals = np.linalg.svd(A, compute_uv=False)
+        singular = svals[:, -1] <= LL_RCOND * svals[:, 0]
+        singular |= ~np.isfinite(svals).all(axis=1)
+        good, fb = ~self.dead & ~singular, ~self.dead & singular
+        est = np.full((m, r), np.nan)
+        for c in range(r):
+            est[good, c] = np.linalg.solve(A[good], rhs[good, c, :, None])[:, 0, 0]
+            # the first normal equation alone is the NW average
+            est[fb, c] = rhs[fb, c, 0] / A[fb, 0, 0]
+        return (est[:, 0] if Y.ndim == 1 else est), fb
 
 
 def nw_batch(design: Design, b: float, eval_points) -> np.ndarray:
@@ -326,7 +329,8 @@ def batch_estimate(
         if diagnostics is not None and not conv.all():
             for j in np.nonzero(~conv)[0]:
                 diagnostics.append((int(j), "cubature tolerance not reached"))
-        return W @ design.responses
+        # numpy's own loop, not BLAS: a point's value does not depend on its batch
+        return np.einsum("mn,n->m", W, design.responses)
     if method == NW:
         out = nw_batch(design, b, S)
     else:

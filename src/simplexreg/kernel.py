@@ -21,59 +21,52 @@ from .errors import DomainError, PoleError
 POINT_TOL = 1e-12
 
 
-def validate_point(x, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
-    """Validate barycentric coordinates and clamp float noise.
+def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
+    """Validate an (n, d) array of barycentric coordinates and clamp float noise.
 
-    Coordinates within ``tol`` of the valid range are clamped; anything
-    farther out raises :class:`DomainError` (user error, not rounding).
+    Coordinates within ``tol`` of the valid range are clamped, and a row
+    whose coordinate sum exceeds 1 within ``tol`` is divided by that sum;
+    anything farther out raises :class:`DomainError` (user error, not
+    rounding).  Each row is validated on its own, so a row gives the same
+    bits in any batch.
 
     Parameters
     ----------
-    x : array_like, shape (d,)
-        First d barycentric coordinates of a point in ``S_d``.
+    points : array_like, shape (n, d) or (d,)
+        First d barycentric coordinates of points in ``S_d``; a single
+        point is one row.
     dim : int, optional
         Required dimension; mismatch raises :class:`DomainError`.
 
     Returns
     -------
-    ndarray
+    ndarray, shape (n, d)
         The clamped coordinates as float64.
     """
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise DomainError(f"expected a single point, got shape {p.shape}")
-    if dim is not None and p.size != dim:
-        raise DomainError(f"expected dimension {dim}, got {p.size}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("point has non-finite coordinates")
-    if np.any(p < -tol):
-        raise DomainError(f"negative coordinate beyond tolerance: {p}")
-    total = p.sum()
-    if total > 1.0 + tol:
-        raise DomainError(f"coordinate sum {total} exceeds 1 beyond tolerance")
-    p = np.clip(p, 0.0, 1.0)
-    if p.sum() > 1.0:
-        p *= 1.0 / p.sum()
-    return p
-
-
-def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
-    """Vectorized :func:`validate_point` for an (n, d) array of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if dim is not None and pts.shape[1] != dim:
         raise DomainError(f"expected dimension {dim}, got {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
-        raise DomainError("points contain non-finite coordinates")
-    if np.any(pts < -tol):
-        raise DomainError("negative coordinate beyond tolerance")
+        raise DomainError("point has non-finite coordinates")
+    negative = np.any(pts < -tol, axis=1)
+    if negative.any():
+        raise DomainError(f"negative coordinate beyond tolerance: {pts[negative][0]}")
     sums = pts.sum(axis=1)
     if np.any(sums > 1.0 + tol):
-        raise DomainError("coordinate sum exceeds 1 beyond tolerance")
+        raise DomainError(f"coordinate sum {sums.max()} exceeds 1 beyond tolerance")
     pts = np.clip(pts, 0.0, 1.0)
     over = sums > 1.0
     if np.any(over):
         pts[over] /= sums[over, None]
     return pts
+
+
+def validate_point(x, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
+    """:func:`validate_points` for a single point of shape (d,)."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if p.ndim != 1:
+        raise DomainError(f"expected a single point, got shape {p.shape}")
+    return validate_points(p[None, :], dim, tol)[0]
 
 
 def last_coordinate(x) -> np.ndarray | float:

@@ -255,7 +255,7 @@ def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
         ests = {}
         if GM in cfg.methods:
             gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
-            ests[GM] = [gm_W @ y for y in ys]
+            ests[GM] = [np.einsum("mn,n->m", gm_W, y) for y in ys]
         if NW in cfg.methods or LL in cfg.methods:
             kw = KernelWeights(points, sample, b)
             if NW in cfg.methods:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from simplexreg import mesh_design_points, voronoi_partition
 
@@ -45,3 +46,16 @@ def random_interior_points(count, seed, margin=0.02):
 
     pts = uniform_simplex_sample(count, seed)
     return pts * (1.0 - 3.0 * margin) + margin
+
+
+@st.composite
+def near_simplex_points(draw):
+    """(n, 2) points on or near the simplex: each coordinate may sit up to
+    4e-13 outside it, within the validation tolerance."""
+    noise = st.floats(-4e-13, 4e-13)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(st.floats(0.0, 1.0))
+        b = draw(st.floats(0.0, 1.0)) * (1.0 - a)
+        rows.append([a + draw(noise), b + draw(noise)])
+    return np.array(rows)

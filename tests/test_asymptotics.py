@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from simplexreg import (
@@ -22,7 +24,7 @@ from simplexreg.asymptotics import (
 )
 from simplexreg.errors import BoundaryError, DomainError, MismatchError, ZeroBiasError
 
-from conftest import random_interior_points
+from conftest import near_simplex_points, random_interior_points
 
 ALL_TARGETS = ["m1", "m2", "m3", "m4", "m5", "m6"]
 
@@ -108,6 +110,20 @@ class TestPsi:
         batch = psi_J(pts, J)
         assert isinstance(batch, np.ndarray) and batch.shape == (200,)
         assert batch.tolist() == [psi_J(p, J) for p in pts]
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_simplex_points(), st.sampled_from([(), (0,), (1,), (0, 1)]))
+    @example(np.array([[-1e-13, 0.5], [0.2, 0.3]]), (0,))
+    def test_batch_equals_per_row_calls_near_the_boundary(self, pts, J):
+        singles = []
+        for p in pts:
+            try:
+                singles.append(psi_J(p, J))
+            except BoundaryError:
+                with pytest.raises(BoundaryError):
+                    psi_J(pts, J)
+                return
+        assert psi_J(pts, J).tolist() == singles
 
     def test_point_gives_float_and_batch_gives_array(self):
         assert type(psi_J(np.array([0.2, 0.3]))) is float

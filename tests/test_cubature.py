@@ -20,6 +20,7 @@ from simplexreg.cubature import (
     integrate_polygon_batch,
     shrunken_simplex_triangle,
 )
+from simplexreg.errors import MismatchError
 from simplexreg.geometry import SIMPLEX_TRIANGLE
 
 
@@ -54,9 +55,22 @@ class TestIntegratePolygon:
         res = integrate_polygon(lambda p: p[:, 0] * p[:, 1], SIMPLEX_TRIANGLE)
         assert res.value == pytest.approx(1 / 24, rel=1e-12)
 
-    def test_scalar_callable_supported(self):
-        res = integrate_polygon(lambda p: float(p[0]) ** 2, SIMPLEX_TRIANGLE)
+    def test_square_of_first_coordinate(self):
+        res = integrate_polygon(lambda p: p[:, 0] ** 2, SIMPLEX_TRIANGLE)
         assert res.value == pytest.approx(monomial_exact(2, 0), rel=1e-10)
+
+    def test_scalar_only_callable_raises_mismatch(self):
+        # written for one point: given (q, 2) points it returns shape (2,)
+        calls = []
+
+        def per_point(p):
+            calls.append(np.shape(p))
+            return p[0] ** 2
+
+        with pytest.raises(MismatchError):
+            integrate_polygon(per_point, SIMPLEX_TRIANGLE)
+        # no point-by-point retry after the mismatch
+        assert len(calls) == 1 and len(calls[0]) == 2
 
     def test_kernel_partition_of_unity(self, partition7):
         cfg = CubatureConfig()

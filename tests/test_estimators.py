@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from simplexreg import (
     kappa,
     ll_batch,
     ll_estimate,
+    mesh_design_points,
     nw_batch,
     nw_estimate,
     uniform_simplex_sample,
@@ -21,11 +23,13 @@ from simplexreg import (
 )
 from simplexreg import estimators
 from simplexreg.app import barycentric_grid
+from simplexreg.bandwidth import default_grid
 from simplexreg.errors import (
     AllWeightsVanishedError,
     InsufficientDataError,
     MismatchError,
 )
+from simplexreg.kernel import validate_points
 
 from conftest import random_interior_points
 
@@ -160,21 +164,103 @@ class TestLl:
         assert est[0] == pytest.approx(nw[0], rel=1e-12)
 
 
-class TestLlSolver:
-    """The one chunked local linear solver behind grid, study and LOOCV."""
+def tensor_ll(kw, y):
+    """The former local linear solver, kept as an oracle: it builds the
+    ``(m, n, 3)`` centred design tensors in row chunks of at most 16 MB and
+    contracts them with ``einsum("mnj,mnk->mjk")``."""
+    n, d = kw.X.shape
+    m = kw.S.shape[0]
+    est = np.full(m, np.nan)
+    fell_back = np.zeros(m, dtype=bool)
+    step = max(1, 16_000_000 // (8 * n * (d + 1)))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        w = kw.w[rows]
+        diff = kw.X[None, :, :] - kw.S[rows][:, None, :]
+        z = np.concatenate([np.ones((w.shape[0], n, 1)), diff], axis=2)
+        wz = w[:, :, None] * z
+        A = np.einsum("mnj,mnk->mjk", wz, z)
+        svals = np.linalg.svd(A, compute_uv=False)
+        singular = (svals[:, -1] <= estimators.LL_RCOND * svals[:, 0]) | ~np.isfinite(
+            svals
+        ).all(axis=1)
+        live = ~kw.dead[rows]
+        good, fb = live & ~singular, live & singular
+        fell_back[rows] = fb
+        vals = est[rows]
+        rhs = np.einsum("mnj,n->mj", wz, y)
+        vals[good] = np.linalg.solve(A[good], rhs[good][:, :, None])[:, 0, 0]
+        vals[fb] = rhs[fb, 0] / A[fb, 0, 0]
+    return est, fell_back
 
-    @pytest.mark.parametrize("leave_one_out", [False, True])
-    def test_one_row_chunks_match_default(self, mesh10, monkeypatch, leave_one_out):
-        # b = 2e-3 mixes solved points with points that fall back to NW
-        S = mesh10 if leave_one_out else barycentric_grid(20)
-        y = np.sin(3 * mesh10[:, 0]) + mesh10[:, 1] ** 2
-        kw = KernelWeights(mesh10, S, 2e-3, leave_one_out=leave_one_out)
+
+def row_slice(kw, rows):
+    """The same kernel weights restricted to some evaluation points."""
+    part = copy.copy(kw)
+    part.S, part.w, part.dead, part.den = kw.S[rows], kw.w[rows], kw.dead[rows], kw.den[rows]
+    return part
+
+
+def edge_design():
+    """Design points on the simplex edges only: interior evaluation points
+    lose every weight, edge points see collinear points, corners solve."""
+    G = barycentric_grid(10)
+    return G[np.minimum(G.min(axis=1), 1.0 - G.sum(axis=1)) <= 1e-12]
+
+
+class TestLlSolver:
+    """The one local linear solver behind grid, study and LOOCV."""
+
+    @pytest.mark.parametrize("case", ["grid", "leave_one_out", "edges"])
+    def test_row_slices_match_full_call(self, mesh10, case):
+        # at b = 2e-3 mesh10 mixes solved points with NW fallbacks; the edge
+        # design adds points whose weights all vanish
+        X, S, b = mesh10, barycentric_grid(20), 2e-3
+        if case == "leave_one_out":
+            S = mesh10
+        elif case == "edges":
+            X, b = edge_design(), 0.1
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2
+        kw = KernelWeights(X, S, b, leave_one_out=case == "leave_one_out")
         est, fell_back = kw.ll(y)
-        assert 0 < fell_back.sum() < S.shape[0]
-        monkeypatch.setattr(estimators, "LL_CHUNK_BYTES", 1)
-        est_rows, fell_back_rows = kw.ll(y)
-        assert np.array_equal(est_rows, est, equal_nan=True)
-        assert np.array_equal(fell_back_rows, fell_back)
+        solved = ~fell_back & ~kw.dead
+        assert fell_back.any() and solved.any()
+        assert np.array_equal(np.isnan(est), kw.dead)
+        assert kw.dead.any() == (case == "edges")
+        m = S.shape[0]
+        for rows in [slice(i, i + 1) for i in range(m)] + [np.arange(m)[::-3]]:
+            est_rows, fell_back_rows = row_slice(kw, rows).ll(y)
+            assert np.array_equal(est_rows, est[rows], equal_nan=True)
+            assert np.array_equal(fell_back_rows, fell_back[rows])
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_study_grid_matches_tensor_oracle(self, k):
+        X = mesh_design_points(k)
+        sample = uniform_simplex_sample(1000, 11)
+        y = 2.0 + np.sin(3 * X[:, 0]) + X[:, 1] ** 2
+        y += np.random.default_rng(k).normal(0.0, 0.2, X.shape[0])
+        fallbacks = 0
+        for b in default_grid():
+            kw = KernelWeights(X, sample, b)
+            est, fell_back = kw.ll(y)
+            ref, ref_fell_back = tensor_ll(kw, y)
+            assert np.array_equal(fell_back, ref_fell_back), b
+            assert_allclose(est, ref, rtol=1e-6, err_msg=f"b = {b}")
+            fallbacks += int(fell_back.sum())
+        assert fallbacks > 1000
+
+    @pytest.mark.parametrize("b", [1e-3, 2e-3, 1e-2, 0.1, 1.0])
+    def test_leave_one_out_matches_tensor_oracle(self, b):
+        # a soil-like interior design of 990 points
+        rng = np.random.default_rng(5)
+        X = np.maximum(rng.dirichlet([2.5, 2.0, 1.5], size=990), 0.005)
+        X = (X / X.sum(axis=1, keepdims=True))[:, :2]
+        y = 6.2 - 1.1 * X[:, 0] + 0.4 * np.sin(3 * X[:, 1]) + rng.normal(0, 0.25, 990)
+        kw = KernelWeights(X, X, b, leave_one_out=True)
+        est, fell_back = kw.ll(y)
+        ref, ref_fell_back = tensor_ll(kw, y)
+        assert np.array_equal(fell_back, ref_fell_back)
+        assert_allclose(est, ref, rtol=1e-6)
 
     def test_response_columns_match_single_solves(self, mesh10):
         Y = np.column_stack(
@@ -212,6 +298,12 @@ class TestLlSolver:
             tracemalloc.stop()
         assert kw.w.nbytes > 38 * 2**20
         assert peak < 60 * 2**20
+
+    def test_responses_must_match_the_design(self, mesh7):
+        kw = KernelWeights(mesh7, mesh7[:3], 0.1)
+        for bad in (np.ones(56), np.ones((14, 2)), np.ones((28, 2, 1))):
+            with pytest.raises(MismatchError):
+                kw.ll(bad)
 
     def test_leave_one_out_needs_the_design_as_points(self, mesh7):
         with pytest.raises(MismatchError):
@@ -251,6 +343,29 @@ class TestBatch:
         assert_allclose(batch[:200], loop, rtol=1e-14)
         sq_batch = np.mean((batch[:200] - loop) ** 2)
         assert sq_batch < 1e-28
+
+    def test_nw_and_gm_rows_do_not_depend_on_the_batch(
+        self, mesh10, partition10, monkeypatch
+    ):
+        S, b = barycentric_grid(20), 0.05
+        design = noiseless(mesh10, lambda p: np.sin(3 * p[:, 0]) + p[:, 1] ** 2)
+        kw = KernelWeights(mesh10, S, b)
+        nw = kw.nw(design.responses)
+        # hold the GM weights fixed, so only their products with y vary
+        W, conv = estimators.gm_weight_matrix(partition10, b, S)
+        row_of = {p.tobytes(): i for i, p in enumerate(validate_points(S))}
+
+        def fixed_weights(partition, b, pts, cfg=None):
+            return W[[row_of[p.tobytes()] for p in pts]], conv
+
+        monkeypatch.setattr(estimators, "gm_weight_matrix", fixed_weights)
+        gm = batch_estimate("GM", design, b, S, partition=partition10)
+        assert_allclose(gm, W @ design.responses, rtol=1e-14)
+        for i in range(S.shape[0]):
+            one = slice(i, i + 1)
+            assert np.array_equal(row_slice(kw, one).nw(design.responses), nw[one])
+            gm_one = batch_estimate("GM", design, b, S[one], partition=partition10)
+            assert np.array_equal(gm_one, gm[one])
 
     def test_gm_requires_partition(self, mesh7):
         design = noiseless(mesh7, lambda p: p[:, 0])

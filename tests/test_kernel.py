@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from numpy.testing import assert_allclose
 
 from simplexreg import (
@@ -15,9 +16,9 @@ from simplexreg import (
     uniform_simplex_sample,
 )
 from simplexreg.errors import DomainError, PoleError
-from simplexreg.kernel import validate_point
+from simplexreg.kernel import validate_point, validate_points
 
-from conftest import random_interior_points
+from conftest import near_simplex_points, random_interior_points
 
 
 class TestLogDirichletDensity:
@@ -170,6 +171,14 @@ class TestValidation:
             validate_point([0.3, -1e-6])
         with pytest.raises(DomainError):
             validate_point([0.9, 0.2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_simplex_points())
+    @example(np.array([[-1e-13, 1.0 + 5e-13], [0.3, 0.2]]))
+    def test_batch_rows_equal_single_point_calls(self, pts):
+        batch = validate_points(pts)
+        for row, p in zip(batch, pts):
+            assert np.array_equal(row, validate_point(p))
 
     def test_log_kappa_matrix_matches_scalar_path(self):
         centers = random_interior_points(6, 3)

@@ -1,8 +1,11 @@
-"""Smoke run of the repository benchmark's asymptotics workload.
+"""Smoke runs of the repository benchmark's workloads.
 
-Runs ``perfbench/run.py`` for one second, which executes
-``mise_opt_bandwidth(m2)`` and ``clt_study(m5)`` once and checks their
-outputs against ``perfbench/reference.json``.
+Each test runs ``perfbench/run.py`` on one workload for one second, which
+times one call and checks its outputs against ``perfbench/reference.json``:
+
+* ``asymptotics`` runs ``mise_opt_bandwidth(m2)`` and ``clt_study(m5)``;
+* ``fit`` runs one ``simplexreg fit`` command on the benchmark's soil CSV
+  and checks ``b_hat``, the LOOCV value and the grid digest.
 """
 
 import json
@@ -13,9 +16,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_asymptotics_workload_reports_correct():
+def run_workload(name):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "asymptotics", "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seconds", "1"],
         cwd=ROOT,
         stdout=subprocess.PIPE,
         text=True,
@@ -26,3 +29,11 @@ def test_asymptotics_workload_reports_correct():
     assert last["correct"] is True, proc.stdout
     assert last["attempted"] > 0
     assert last["failed"] == 0
+
+
+def test_asymptotics_workload_reports_correct():
+    run_workload("asymptotics")
+
+
+def test_fit_workload_reports_correct():
+    run_workload("fit")
