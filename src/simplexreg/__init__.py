@@ -40,12 +40,10 @@ from .estimators import (
     LL,
     NW,
     Design,
-    GmWeights,
     KernelWeights,
     batch_estimate,
     gm_estimate,
     gm_weight_matrix,
-    gm_weights,
     ll_batch,
     ll_estimate,
     nw_batch,

@@ -214,23 +214,24 @@ def format_value(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def csv_text(header: str, rows) -> str:
+    """CSV text: the ``header`` line, then one line per row of cells; string
+    cells pass through and numbers are written with :func:`format_value`."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format_value(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
 def grid_csv_text(rows) -> str:
     """Render grid rows as CSV with header ``s1,s2,s3,estimate,category``."""
-    lines = ["s1,s2,s3,estimate,category"]
-    for row in rows:
-        label = row.category.label if row.category is not None else ""
-        lines.append(
-            ",".join(
-                [
-                    format_value(row.s1),
-                    format_value(row.s2),
-                    format_value(row.s3),
-                    format_value(row.estimate),
-                    label,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "s1,s2,s3,estimate,category",
+        (
+            (r.s1, r.s2, r.s3, r.estimate, "" if r.category is None else r.category.label)
+            for r in rows
+        ),
+    )
 
 
 __all__ = [
@@ -246,5 +247,6 @@ __all__ = [
     "fit_and_grid",
     "atomic_write_text",
     "format_value",
+    "csv_text",
     "grid_csv_text",
 ]

@@ -195,7 +195,8 @@ def psi_J(s, J=()) -> float | np.ndarray:
     a batch of shape ``(n, d)``, for which an ``(n,)`` array is returned.
     Each batch entry equals the single-point call on that row bit for bit.
     Any invalid row raises: :class:`DomainError` outside the simplex,
-    :class:`BoundaryError` on a boundary face the constant diverges on.
+    :class:`BoundaryError` on a boundary face the constant diverges on or
+    where the product of the coordinates underflows to 0.
     """
     pts = np.asarray(s, dtype=float)
     single = pts.ndim <= 1
@@ -207,14 +208,14 @@ def psi_J(s, J=()) -> float | np.ndarray:
     if any(j < 0 or j >= d for j in J):
         raise DomainError(f"J must index coordinates 0..{d - 1}, got {J}")
     prod = last_coordinate(pts)
-    if np.any(prod <= 0.0):
-        raise BoundaryError("psi requires s_{d+1} > 0")
     for i in range(d):
-        if i in J:
-            continue
-        if np.any(pts[:, i] <= 0.0):
-            raise BoundaryError(f"psi requires s_{i + 1} > 0 for i not in J")
-        prod = prod * pts[:, i]
+        if i not in J:
+            prod = prod * pts[:, i]
+    zero = prod <= 0.0  # also where positive coordinates underflow together
+    if np.any(zero):
+        raise BoundaryError(
+            f"psi needs s_{{d+1}} prod_(i not in J) s_i > 0 at {pts[zero][0]}"
+        )
     base = (4.0 * np.pi) ** (d - len(J)) * prod
     # numpy's vectorized power may take a SIMD path whose last bit differs
     # from libm pow; libm pow per element keeps every entry equal to the

@@ -130,13 +130,6 @@ def _read_numeric_csv(path: str, columns) -> np.ndarray:
     return np.array(out)
 
 
-def _points_csv(points) -> str:
-    lines = ["s1,s2"]
-    for p in points:
-        lines.append(f"{app.format_value(p[0])},{app.format_value(p[1])}")
-    return "\n".join(lines) + "\n"
-
-
 def _search_from_args(args) -> BandwidthSearch:
     grid = default_grid(args.grid_size, args.grid_min, args.grid_max)
     return BandwidthSearch(grid=grid, refine=not args.no_refine)
@@ -151,7 +144,7 @@ def _add_search_args(p) -> None:
 
 def _cmd_mesh(args) -> int:
     points = mesh_design_points(args.k)
-    _emit(_points_csv(points), args.points_out)
+    _emit(app.csv_text("s1,s2", points), args.points_out)
     partition = voronoi_partition(points)
     _emit(
         json.dumps(partition.to_json_dict(), indent=2, sort_keys=True) + "\n",
@@ -184,12 +177,8 @@ def _cmd_estimate(args) -> int:
             "(NaN in output)",
             file=sys.stderr,
         )
-    lines = ["s1,s2,estimate"]
-    for p, v in zip(points, values):
-        lines.append(
-            f"{app.format_value(p[0])},{app.format_value(p[1])},{app.format_value(v)}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ((p[0], p[1], v) for p, v in zip(points, values))
+    _emit(app.csv_text("s1,s2,estimate", rows), args.out)
     return 0
 
 
@@ -218,10 +207,7 @@ def _cmd_bandwidth(args) -> int:
     else:
         result = select_loocv_ll(design, search)
     if args.trace_out is not None:
-        lines = ["b,value"]
-        for b, v in result.trace:
-            lines.append(f"{app.format_value(b)},{app.format_value(v)}")
-        _emit("\n".join(lines) + "\n", args.trace_out)
+        _emit(app.csv_text("b,value", result.trace), args.trace_out)
     payload = {
         "b_hat": result.b_hat,
         "objective_value": result.objective_value,
@@ -233,25 +219,14 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _study_csv(rows) -> str:
-    lines = ["function,n,method,mean,sd,median,iqr,replications,failures,valid"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.function,
-                    str(r.n),
-                    r.method,
-                    app.format_value(r.mean),
-                    app.format_value(r.sd),
-                    app.format_value(r.median),
-                    app.format_value(r.iqr),
-                    str(r.replications),
-                    str(r.failures),
-                    str(r.valid).lower(),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return app.csv_text(
+        "function,n,method,mean,sd,median,iqr,replications,failures,valid",
+        (
+            (r.function, str(r.n), r.method, r.mean, r.sd, r.median, r.iqr,
+             str(r.replications), str(r.failures), str(r.valid).lower())
+            for r in rows
+        ),
+    )
 
 
 def _study_table(rows) -> str:
@@ -356,9 +331,8 @@ def _cmd_clt(args) -> int:
         cfg=CubatureConfig(relative_tolerance=args.rtol),
     )
     if args.samples_out is not None:
-        lines = ["standardized"]
-        lines += [app.format_value(z) for z in result.standardized]
-        _emit("\n".join(lines) + "\n", args.samples_out)
+        rows = ((z,) for z in result.standardized)
+        _emit(app.csv_text("standardized", rows), args.samples_out)
     payload = {
         "ks_statistic": result.ks_statistic,
         "replications": int(result.standardized.size),

@@ -165,12 +165,12 @@ def _split_longest_edge(coords: np.ndarray) -> np.ndarray:
 def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
     """Shared adaptive refinement over an initial triangulation.
 
-    Components that meet their tolerance are frozen at their current value
-    and drop out of the active set, so late refinement rounds only pay for
-    the components that still need them.  Each round splits every splittable
-    triangle whose error is within a factor four of the worst splittable
-    error on some active component; all children of a round are evaluated in
-    one batched call.
+    Each round writes every active component's value, error and flag, then
+    freezes the components that passed.  It splits every splittable triangle
+    whose error is within a factor four of the worst splittable error on
+    some active component, evaluating all children in one batched call.  The
+    loop stops when all components passed, the triangle cap is reached, no
+    splittable triangle carries error, or no triangle is marked.
     """
     coords = roots
     active = np.arange(m)
@@ -178,39 +178,26 @@ def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
     depth = np.zeros(coords.shape[0], dtype=int)
     out_val = np.empty(m)
     out_err = np.empty(m)
-    out_conv = np.ones(m, dtype=bool)
+    out_conv = np.empty(m, dtype=bool)
     max_tris = coords.shape[0]
     while True:
         total = vals.sum(axis=0)
         tot_err = errs.sum(axis=0)
         tol = np.maximum(cfg.relative_tolerance * np.abs(total), cfg.absolute_floor)
         passed = tot_err <= tol
-        splittable = depth < cfg.max_subdivisions
-        can_improve = bool(np.any(splittable)) and coords.shape[0] <= _MAX_TRIANGLES
-        if np.all(passed) or not can_improve:
-            done = passed if np.all(passed) else np.ones_like(passed)
-            out_val[active[done]] = total[done]
-            out_err[active[done]] = tot_err[done]
-            out_conv[active[done]] = passed[done]
-            break
+        out_val[active] = total
+        out_err[active] = tot_err
+        out_conv[active] = passed
         if np.any(passed):
-            out_val[active[passed]] = total[passed]
-            out_err[active[passed]] = tot_err[passed]
             keep_cols = ~passed
             active = active[keep_cols]
             vals = vals[:, keep_cols]
             errs = errs[:, keep_cols]
-        col_max = np.where(splittable[:, None], errs, 0.0).max(axis=0)
-        if np.all(col_max <= 0.0):
-            out_val[active] = vals.sum(axis=0)
-            out_err[active] = errs.sum(axis=0)
-            out_conv[active] = False
-            break
+        splittable = depth < cfg.max_subdivisions
+        # initial=0: with no active component left nothing needs splitting
+        col_max = np.where(splittable[:, None], errs, 0.0).max(axis=0, initial=0.0)
         mark = splittable & np.any(errs >= 0.25 * col_max[None, :], axis=1)
-        if not np.any(mark):
-            out_val[active] = vals.sum(axis=0)
-            out_err[active] = errs.sum(axis=0)
-            out_conv[active] = False
+        if coords.shape[0] > _MAX_TRIANGLES or np.all(col_max <= 0.0) or not mark.any():
             break
         children = _split_longest_edge(coords[mark])
         child_vals, child_errs = _eval_rules(f_batch, children, active)

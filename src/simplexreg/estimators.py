@@ -17,10 +17,9 @@ evaluation over many points shares one kernel matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cubature import CubatureConfig, integrate_polygon_batch
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     MismatchError,
 )
 from .geometry import SimplexPartition
-from .kernel import last_coordinate, log_kappa_matrix, validate_points
+from .kernel import kappa_columns, log_kappa_matrix, validate_points
 
 LL_RCOND = 1e-10
 
@@ -69,19 +68,6 @@ class Design:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class GmWeights:
-    """Cell weights of the Gasser-Muller estimator at one evaluation point."""
-
-    weights: np.ndarray
-    tolerance_used: float
-    flagged_cells: tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
 def _check_partition(design: Design, partition: SimplexPartition) -> None:
     if len(partition) != design.n:
         raise MismatchError(
@@ -106,9 +92,10 @@ def gm_weight_matrix(
     quadrature noise at the absolute floor is clamped away.
     """
     cfg = cfg or CubatureConfig()
-    S = validate_points(eval_points, dim=2)
-    m = S.shape[0]
-    f_batch = _kernel_center_batch(S, b)
+    m = validate_points(eval_points, dim=2).shape[0]
+    # from the points as given: validating validated points can rescale a
+    # row whose sum exceeds 1 once more
+    f_batch = kappa_columns(eval_points, b)
     weights = np.empty((m, len(partition)))
     converged = np.empty(len(partition), dtype=bool)
     for j, cell in enumerate(partition.cells):
@@ -120,44 +107,11 @@ def gm_weight_matrix(
     return weights, converged
 
 
-def _kernel_center_batch(S: np.ndarray, b: float):
-    """Integrand ``x -> [kappa_{s_i,b}(x)]_i`` vectorized over points x.
-
-    Column-aware closure for the adaptive integrator: normalization constants
-    are precomputed once per (centers, bandwidth), and only the requested
-    component columns are evaluated.  Quadrature points come from inside the
-    simplex, so only rounding-level clipping is needed.
-    """
-    S_full = np.column_stack([S, last_coordinate(S)])
-    d = S.shape[1]
-    norm = gammaln(1.0 / b + d + 1.0) - gammaln(S_full / b + 1.0).sum(axis=1)
-    exponents = (S_full / b).T  # (d+1, m)
-
-    def f_batch(pts: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rest = 1.0 - pts.sum(axis=1)
-        full = np.column_stack([pts, rest])
-        np.clip(full, 0.0, 1.0, out=full)
-        with np.errstate(divide="ignore"):
-            logx = np.log(full)
-        np.maximum(logx, -1e300, out=logx)
-        out = logx @ exponents[:, cols]
-        out += norm[cols]
-        return np.exp(out, out=out)
-
-    return f_batch
-
-
-def gm_weights(
-    partition: SimplexPartition,
-    b: float,
-    s,
-    cfg: CubatureConfig | None = None,
-) -> GmWeights:
-    """Gasser-Muller weights at a single evaluation point."""
-    cfg = cfg or CubatureConfig()
-    W, conv = gm_weight_matrix(partition, b, np.atleast_2d(np.asarray(s, float)), cfg)
-    flagged = tuple(int(j) for j in np.nonzero(~conv)[0])
-    return GmWeights(W[0], cfg.relative_tolerance, flagged)
+def _gm_flags(cell_converged: np.ndarray) -> list[tuple[int, str]]:
+    return [
+        (int(j), f"cell {j}: cubature tolerance not reached")
+        for j in np.nonzero(~cell_converged)[0]
+    ]
 
 
 def gm_estimate(
@@ -170,14 +124,15 @@ def gm_estimate(
 ) -> float:
     """Gasser-Muller estimate at ``s``.
 
-    Non-converged cell cubatures are appended to ``diagnostics`` (as cell
-    indices) when a list is supplied; the estimate is still returned.
+    When a list is supplied, each cell whose cubature missed its tolerance
+    is appended to ``diagnostics`` as a ``(cell index, message)`` pair; the
+    estimate is still returned.
     """
     _check_partition(design, partition)
-    w = gm_weights(partition, b, s, cfg)
+    W, conv = gm_weight_matrix(partition, b, np.atleast_2d(np.asarray(s, float)), cfg)
     if diagnostics is not None:
-        diagnostics.extend(w.flagged_cells)
-    return float(w.weights @ design.responses)
+        diagnostics.extend(_gm_flags(conv))
+    return float(W[0] @ design.responses)
 
 
 class KernelWeights:
@@ -316,7 +271,9 @@ def batch_estimate(
 
     Results are identical to looping the single-point calls; per-point
     failures become NaN entries and are appended to ``diagnostics`` (as
-    ``(index, message)`` pairs) rather than aborting the batch.
+    ``(point index, message)`` pairs) rather than aborting the batch.  For
+    GM the entries are ``(cell index, message)`` pairs instead, one per
+    cell whose cubature missed its tolerance, as in :func:`gm_estimate`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -326,9 +283,8 @@ def batch_estimate(
             raise MismatchError("the GM estimator requires a partition")
         _check_partition(design, partition)
         W, conv = gm_weight_matrix(partition, b, S, cfg)
-        if diagnostics is not None and not conv.all():
-            for j in np.nonzero(~conv)[0]:
-                diagnostics.append((int(j), "cubature tolerance not reached"))
+        if diagnostics is not None:
+            diagnostics.extend(_gm_flags(conv))
         # numpy's own loop, not BLAS: a point's value does not depend on its batch
         return np.einsum("mn,n->m", W, design.responses)
     if method == NW:
@@ -346,13 +302,11 @@ def batch_estimate(
 
 __all__ = [
     "Design",
-    "GmWeights",
     "KernelWeights",
     "GM",
     "NW",
     "LL",
     "METHODS",
-    "gm_weights",
     "gm_weight_matrix",
     "gm_estimate",
     "nw_estimate",

@@ -155,6 +155,22 @@ def kappa(s, b: float, x) -> float | np.ndarray:
     return np.exp(log_kappa(s, b, x))
 
 
+def _centres(S: np.ndarray, b: float):
+    """Full coordinates of validated centres and their log normalisations
+    ``logGamma(1/b + d + 1) - sum_j logGamma(s_j/b + 1)``."""
+    S_full = np.column_stack([S, last_coordinate(S)])
+    norm = gammaln(1.0 / b + S.shape[1] + 1.0) - gammaln(S_full / b + 1.0).sum(axis=1)
+    return S_full, norm
+
+
+def _log_coordinates(points: np.ndarray):
+    """Full coordinates of points, clipped to [0, 1], and their logs with
+    ``log 0`` clamped to -1e300, so that products keep ``0 * log 0 = 0``."""
+    full = np.clip(np.column_stack([points, last_coordinate(points)]), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return full, np.maximum(np.log(full), -1e300)
+
+
 def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
     """Log kernel values for many centers against many evaluation points.
 
@@ -170,18 +186,8 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
         raise DomainError(f"bandwidth must be positive and finite, got {b}")
     S = validate_points(eval_points)
     X = validate_points(x_points, dim=S.shape[1])
-    S_full = np.column_stack([S, last_coordinate(S)])
-    X_full = np.column_stack([X, last_coordinate(X)])
-    d = S.shape[1]
-    # log kappa = logGamma(1/b + d + 1) - sum_j logGamma(s_j/b + 1)
-    #             + (1/b) * sum_j s_j * log x_j      (exponents are s_j/b)
-    norm = gammaln(1.0 / b + d + 1.0) - gammaln(S_full / b + 1.0).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        logX = np.log(X_full)
-    # Clamping log 0 to a huge finite negative keeps the matrix product
-    # correct under the 0*log 0 = 0 convention (0 * finite is 0, while
-    # 0 * -inf would poison the product with NaN).
-    np.maximum(logX, -1e300, out=logX)
+    S_full, norm = _centres(S, b)
+    X_full, logX = _log_coordinates(X)
     # in place, so only one m x n array is alive at a time
     out = S_full @ logX.T
     out /= b
@@ -192,6 +198,22 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
         hits = zero_x.astype(float) @ (S_full > 0.0).T.astype(float)
         out[(hits > 0.0).T] = -np.inf
     return out
+
+
+def kappa_columns(eval_points, b: float):
+    """The GM cell integrand: maps ``(q, d)`` points x and indices ``cols``
+    to the ``(q, len(cols))`` values ``kappa_{s_i,b}(x)``, ``i`` in ``cols``."""
+    if not (b > 0.0 and np.isfinite(b)):
+        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    S_full, norm = _centres(validate_points(eval_points), b)
+    exponents = (S_full / b).T  # (d+1, m)
+
+    def f_batch(pts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = _log_coordinates(pts)[1] @ exponents[:, cols]
+        out += norm[cols]
+        return np.exp(out, out=out)
+
+    return f_batch
 
 
 def global_bound(d: int, b: float) -> float:

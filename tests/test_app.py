@@ -11,6 +11,7 @@ from simplexreg.app import (
     CompositionColumns,
     atomic_write_text,
     barycentric_grid,
+    csv_text,
     format_value,
     grid_csv_text,
     load_composition_csv,
@@ -175,3 +176,9 @@ class TestGridExport:
     def test_format_value_significant_digits(self):
         assert float(format_value(1 / 3)) == pytest.approx(1 / 3, abs=1e-12)
         assert format_value(0.25) == "0.25"
+
+    def test_csv_text_passes_strings_and_formats_numbers(self):
+        rows = [("m1", "28", 1 / 3, np.float64(2.5)), ("m4", "55", np.nan, 7)]
+        text = csv_text("function,n,mean,value", rows)
+        assert text == "function,n,mean,value\nm1,28,0.333333333333,2.5\nm4,55,nan,7\n"
+        assert csv_text("b,value", []) == "b,value\n"

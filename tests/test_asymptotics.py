@@ -114,6 +114,9 @@ class TestPsi:
     @settings(max_examples=300, deadline=None)
     @given(near_simplex_points(), st.sampled_from([(), (0,), (1,), (0, 1)]))
     @example(np.array([[-1e-13, 0.5], [0.2, 0.3]]), (0,))
+    # positive coordinates whose product underflows to 0
+    @example(np.array([[1e-200, 1e-200]]), ())
+    @example(np.array([[5e-324, 0.5]]), ())
     def test_batch_equals_per_row_calls_near_the_boundary(self, pts, J):
         singles = []
         for p in pts:

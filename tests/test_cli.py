@@ -181,6 +181,14 @@ class TestAsymptotics:
         )
         assert code == 0
 
+    def test_underflowing_coordinate_product_exits_3(self, capsys):
+        # each coordinate is positive, but their product rounds to 0
+        code, _, err = run_cli(
+            capsys, "asymptotics", "--function", "m5", "--at", "1e-200,1e-200"
+        )
+        assert code == 3
+        assert "numerical failure" in err
+
 
 class TestFit:
     def test_synthetic_pipeline_round_trip(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from simplexreg import (
     kappa,
     psi_J,
 )
+from simplexreg import cubature
 from simplexreg.cubature import (
     _BARY,
     _W5,
@@ -110,6 +111,50 @@ class TestIntegratePolygon:
         )
         assert not res.converged
         assert np.isfinite(res.value)
+
+
+def kink(p):
+    return np.sqrt(np.maximum(p[:, 0] - 0.7, 0.0))
+
+
+KINK_INTEGRAL = 0.08 * 0.3**1.5  # of kink over the unit triangle
+
+
+class TestAdaptiveExits:
+    """Every way out of the refinement loop keeps the last values and flags
+    the components that missed their tolerance."""
+
+    def test_no_error_left_on_splittable_triangles(self):
+        # two fan triangles touch the kink and reach the depth limit; the
+        # third is exactly zero, carries no error and stays whole
+        cfg = CubatureConfig(max_subdivisions=1)
+        res = integrate_polygon(kink, SIMPLEX_TRIANGLE, cfg)
+        assert not res.converged and res.triangles == 5
+        assert res.value == pytest.approx(KINK_INTEGRAL, rel=0.15)
+
+    def test_frozen_component_keeps_its_value(self):
+        # the constant passes in the first round; the kink refines on alone
+        def f_batch(pts, cols):
+            return np.column_stack([np.ones(pts.shape[0]), kink(pts)])[:, cols]
+
+        cfg = CubatureConfig(max_subdivisions=1)
+        vals, errs, ok, ntri = integrate_polygon_batch(f_batch, SIMPLEX_TRIANGLE, 2, cfg)
+        alone = integrate_polygon(kink, SIMPLEX_TRIANGLE, cfg)
+        assert not ok and ntri == alone.triangles
+        assert vals[0] == pytest.approx(0.5, abs=1e-14) and errs[0] <= 1e-14
+        assert vals[1] == pytest.approx(alone.value, rel=1e-12)
+
+    def test_triangle_cap(self, monkeypatch):
+        monkeypatch.setattr(cubature, "_MAX_TRIANGLES", 8)
+        cfg = CubatureConfig(relative_tolerance=1e-6)
+        res = integrate_polygon(kink, SIMPLEX_TRIANGLE, cfg)
+        assert not res.converged and 8 < res.triangles <= 16
+        assert res.value == pytest.approx(KINK_INTEGRAL, rel=0.01)
+
+    def test_nan_integrand_marks_nothing(self):
+        res = integrate_polygon(lambda p: np.full(p.shape[0], np.nan), SIMPLEX_TRIANGLE)
+        assert not res.converged and res.triangles == 3
+        assert np.isnan(res.value) and np.isnan(res.error_estimate)
 
 
 class TestIntegrateSimplex:

@@ -11,7 +11,7 @@ from simplexreg import (
     KernelWeights,
     batch_estimate,
     gm_estimate,
-    gm_weights,
+    gm_weight_matrix,
     kappa,
     ll_batch,
     ll_estimate,
@@ -29,7 +29,8 @@ from simplexreg.errors import (
     InsufficientDataError,
     MismatchError,
 )
-from simplexreg.kernel import validate_points
+from simplexreg.cubature import integrate_polygon_batch
+from simplexreg.kernel import kappa_columns, validate_points
 
 from conftest import random_interior_points
 
@@ -71,11 +72,47 @@ class TestGm:
 
     def test_weights_sum_to_one_for_interior_points(self, partition7):
         cfg = CubatureConfig()
-        for s in random_interior_points(5, 21):
-            w = gm_weights(partition7, 0.12, s, cfg)
-            assert np.all(w.weights >= 0.0)
-            assert abs(w.total - 1.0) <= 20 * cfg.relative_tolerance
-            assert w.flagged_cells == ()
+        W, converged = gm_weight_matrix(
+            partition7, 0.12, random_interior_points(5, 21), cfg
+        )
+        assert np.all(W >= 0.0)
+        assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 20 * cfg.relative_tolerance)
+        assert converged.all()
+
+    def test_evaluation_points_are_validated_once(self, partition7):
+        # rows summing to just over 1 are rescaled; validating the result
+        # again can rescale them once more and move every weight's last bits
+        rng = np.random.default_rng(1)
+        a = rng.uniform(0.05, 0.95, 400)
+        pts = np.column_stack([a, 1.0 - a + rng.uniform(0.0, 9e-13, 400)])
+        once = validate_points(pts)
+        pts = pts[np.any(validate_points(once) != once, axis=1)][:4]
+        assert len(pts) == 4
+        W, _ = gm_weight_matrix(partition7, 0.05, pts)
+        f_batch = kappa_columns(pts, 0.05)
+        for j, cell in enumerate(partition7.cells):
+            vals = integrate_polygon_batch(f_batch, cell, 4, boundary_layer_scale=0.05)[0]
+            assert np.array_equal(W[:, j], np.maximum(vals, 0.0))
+
+    def test_diagnostics_index_cells(self, mesh7, partition7):
+        # too shallow a cubature for a peaked kernel: the entries name the
+        # cells that missed their tolerance, for a batch and for one point
+        design = noiseless(mesh7, lambda p: p[:, 0])
+        cfg = CubatureConfig(max_subdivisions=1)
+        S = np.array([[0.31, 0.22], [0.6, 0.3]])
+
+        def expected(points):
+            _, converged = gm_weight_matrix(partition7, 0.004, points, cfg)
+            cells = np.nonzero(~converged)[0]
+            assert cells.size and cells.max() >= points.shape[0]
+            return [(int(j), f"cell {j}: cubature tolerance not reached") for j in cells]
+
+        diags = []
+        batch_estimate("GM", design, 0.004, S, partition7, cfg, diagnostics=diags)
+        assert diags == expected(S)
+        diags = []
+        gm_estimate(design, partition7, 0.004, S[0], cfg, diagnostics=diags)
+        assert diags == expected(S[:1])
 
     def test_partition_design_mismatch(self, mesh7, partition10):
         design = Design(points=mesh7, responses=np.zeros(28))

@@ -15,8 +15,9 @@ from simplexreg import (
     psi_J,
     uniform_simplex_sample,
 )
+from simplexreg.cubature import _BARY, graded_simplex_roots
 from simplexreg.errors import DomainError, PoleError
-from simplexreg.kernel import validate_point, validate_points
+from simplexreg.kernel import kappa_columns, validate_point, validate_points
 
 from conftest import near_simplex_points, random_interior_points
 
@@ -96,6 +97,20 @@ class TestKappa:
         for b in (1e-2, 1e-3, 1e-4):
             assert np.isfinite(log_kappa(s, b, [0.28, 0.27, 0.22]))
             assert np.isfinite(kappa(s, b, [0.28, 0.27, 0.22]))
+
+    def test_kappa_columns_match_scalar_kernel_on_an_edge_cell(self, partition7):
+        # the GM integrand at the quadrature points of a cell on the edge s_2 = 0
+        b = 0.1
+        cell = next(c for c in partition7.cells if np.any(c.vertices[:, 1] == 0.0))
+        roots = graded_simplex_roots(cell.vertices, b)
+        pts = np.einsum("qb,tbv->tqv", _BARY, roots).reshape(-1, 2)
+        assert pts[:, 1].min() < 1e-2
+        centers = np.vstack([random_interior_points(4, 5), [[0.5, 0.0], [0.0, 0.0]]])
+        cols = np.array([5, 1, 4])
+        vals = kappa_columns(centers, b)(pts, cols)
+        assert vals.shape == (pts.shape[0], cols.size)
+        for k, i in enumerate(cols):
+            assert_allclose(vals[:, k], kappa(centers[i], b, pts), rtol=1e-12)
 
 
 class TestGlobalBound:

@@ -5,7 +5,9 @@ times one call and checks its outputs against ``perfbench/reference.json``:
 
 * ``asymptotics`` runs ``mise_opt_bandwidth(m2)`` and ``clt_study(m5)``;
 * ``fit`` runs one ``simplexreg fit`` command on the benchmark's soil CSV
-  and checks ``b_hat``, the LOOCV value and the grid digest.
+  and checks ``b_hat``, the LOOCV value and the grid digest;
+* ``study`` runs two replications of the m1/m2/m4 x k=7,10 x GM/NW/LL
+  study and checks its rows and the GM row sums (about a minute).
 """
 
 import json
@@ -37,3 +39,7 @@ def test_asymptotics_workload_reports_correct():
 
 def test_fit_workload_reports_correct():
     run_workload("fit")
+
+
+def test_study_workload_reports_correct():
+    run_workload("study")

@@ -13,9 +13,7 @@ from simplexreg import (
     target_function,
     uniform_simplex_sample,
 )
-from simplexreg import simulation
 from simplexreg.errors import (
-    AllInfiniteError,
     DegenerateIqrWarning,
     UnknownFunctionError,
 )
@@ -182,33 +180,12 @@ class TestRunStudy:
             ]
             assert curve.tolist() == expected
 
-    def refining_config(self):
-        # one NW replication whose grid minimum is interior, so the
-        # golden-section refinement runs
-        return self.small_config(
-            functions=("m1",),
-            k_values=(7,),
-            methods=("NW",),
-            replications=1,
-            search=BandwidthSearch(grid=np.geomspace(1e-3, 1.0, 8), refine=True),
-        )
-
-    def test_refinement_package_error_counts_as_failure(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AllInfiniteError("no finite value")
-
-        monkeypatch.setattr(simulation, "lscv", fail)
-        (row,) = run_study(self.refining_config())
-        assert row.failures == 1
-        assert row.replications == 0
-
-    def test_refinement_bug_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("bug in the objective")
-
-        monkeypatch.setattr(simulation, "lscv", broken)
-        with pytest.raises(RuntimeError, match="bug in the objective"):
-            run_study(self.refining_config())
+    def test_refine_is_rejected(self):
+        # the study selects on the grid only
+        with pytest.raises(ValueError, match="grid only"):
+            self.small_config(
+                search=BandwidthSearch(grid=np.geomspace(1e-3, 1.0, 8), refine=True)
+            )
 
     def test_bias_rate_matches_exact_smoothing_curve(self, mesh14, partition14):
         # for m5 at the centroid the smoothing bias is exactly g * b/(1+4b)
