@@ -44,9 +44,7 @@ from .estimators import (
     batch_estimate,
     gm_estimate,
     gm_weight_matrix,
-    ll_batch,
     ll_estimate,
-    nw_batch,
     nw_estimate,
 )
 from .geometry import (

@@ -26,6 +26,8 @@ from .geometry import SimplexPartition
 from .kernel import validate_points
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section refinement stops once its bracket is this narrow
+REFINE_TOL = 1e-4
 
 
 def default_grid(num: int = 40, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
@@ -40,7 +42,6 @@ class BandwidthSearch:
 
     grid: np.ndarray = field(default_factory=default_grid)
     refine: bool = True
-    refine_tol: float = 1e-4
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -94,7 +95,7 @@ def minimize_bandwidth(objective, search: BandwidthSearch | None = None) -> Band
         a, b = lo, hi
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        while b - a > search.refine_tol:
+        while b - a > REFINE_TOL:
             if ev(c) <= ev(d):
                 b, d = d, c
                 c = b - _GOLDEN * (b - a)

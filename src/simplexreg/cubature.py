@@ -326,20 +326,16 @@ def integrate_polygon_batch(
     tolerance, and converged components freeze (they are no longer
     requested) while the rest keep refining.  A positive
     ``boundary_layer_scale`` grades the initial triangulation toward the
-    simplex edges at that scale (see :func:`graded_simplex_roots`).
+    simplex edges at that scale (see :func:`graded_simplex_roots`); at 0
+    the roots are the centroid fan.
 
     Returns ``(values, error_estimates, converged, triangles)`` with the
     first two of shape ``(n_components,)``.
     """
     cfg = cfg or CubatureConfig()
     verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
-    roots = (
-        _cached_graded_roots(
-            np.ascontiguousarray(verts, dtype=float).tobytes(),
-            float(boundary_layer_scale),
-        )
-        if boundary_layer_scale > 0.0
-        else fan_triangulation(verts)
+    roots = _cached_graded_roots(
+        np.ascontiguousarray(verts, dtype=float).tobytes(), float(boundary_layer_scale)
     )
     return _adaptive(f_batch, roots, cfg, n_components)
 

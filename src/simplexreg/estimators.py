@@ -11,8 +11,10 @@ Given design points ``x_1..x_n`` on the simplex with responses ``Y_1..Y_n``:
 Kernel weights span hundreds of orders of magnitude for small bandwidths, so
 ``nw``/``ll`` work from log-kernel values with per-row max subtraction, and
 ``ll`` falls back to ``nw`` (with a flag) where the normal equations are
-numerically singular.  Everything is pure given immutable inputs; batch
-evaluation over many points shares one kernel matrix.
+numerically singular.  Everything is pure given immutable inputs.
+:func:`batch_estimate` is the one evaluation path, and a batch over many
+points shares one kernel matrix; the single-point functions are its
+one-row calls.
 """
 
 from __future__ import annotations
@@ -92,10 +94,9 @@ def gm_weight_matrix(
     quadrature noise at the absolute floor is clamped away.
     """
     cfg = cfg or CubatureConfig()
-    m = validate_points(eval_points, dim=2).shape[0]
-    # from the points as given: validating validated points can rescale a
-    # row whose sum exceeds 1 once more
-    f_batch = kappa_columns(eval_points, b)
+    S = validate_points(eval_points, dim=2)
+    m = S.shape[0]
+    f_batch = kappa_columns(S, b)
     weights = np.empty((m, len(partition)))
     converged = np.empty(len(partition), dtype=bool)
     for j, cell in enumerate(partition.cells):
@@ -105,34 +106,6 @@ def gm_weight_matrix(
         weights[:, j] = np.maximum(vals, 0.0)
         converged[j] = ok
     return weights, converged
-
-
-def _gm_flags(cell_converged: np.ndarray) -> list[tuple[int, str]]:
-    return [
-        (int(j), f"cell {j}: cubature tolerance not reached")
-        for j in np.nonzero(~cell_converged)[0]
-    ]
-
-
-def gm_estimate(
-    design: Design,
-    partition: SimplexPartition,
-    b: float,
-    s,
-    cfg: CubatureConfig | None = None,
-    diagnostics: list | None = None,
-) -> float:
-    """Gasser-Muller estimate at ``s``.
-
-    When a list is supplied, each cell whose cubature missed its tolerance
-    is appended to ``diagnostics`` as a ``(cell index, message)`` pair; the
-    estimate is still returned.
-    """
-    _check_partition(design, partition)
-    W, conv = gm_weight_matrix(partition, b, np.atleast_2d(np.asarray(s, float)), cfg)
-    if diagnostics is not None:
-        diagnostics.extend(_gm_flags(conv))
-    return float(W[0] @ design.responses)
 
 
 class KernelWeights:
@@ -215,49 +188,6 @@ class KernelWeights:
         return (est[:, 0] if Y.ndim == 1 else est), fb
 
 
-def nw_batch(design: Design, b: float, eval_points) -> np.ndarray:
-    """Nadaraya-Watson estimates at many points; NaN where all weights vanish."""
-    return KernelWeights(design.points, eval_points, b).nw(design.responses)
-
-
-def nw_estimate(design: Design, b: float, s) -> float:
-    """Nadaraya-Watson estimate at one point (log-sum-exp path)."""
-    out = nw_batch(design, b, np.atleast_2d(np.asarray(s, float)))
-    if np.isnan(out[0]):
-        raise AllWeightsVanishedError(
-            "all kernel weights vanished; no design point supports this estimate"
-        )
-    return float(out[0])
-
-
-def ll_batch(design: Design, b: float, eval_points):
-    """Local linear estimates at many points.
-
-    Returns ``(estimates, fell_back)``; a True flag marks points where the
-    weighted normal equations were singular within ``LL_RCOND`` and the
-    Nadaraya-Watson value was substituted.  NaN marks points where even that
-    was impossible (all weights vanished).
-    """
-    return KernelWeights(design.points, eval_points, b).ll(design.responses)
-
-
-def ll_estimate(
-    design: Design,
-    b: float,
-    s,
-    diagnostics: list | None = None,
-) -> float:
-    """Local linear estimate at one point, with flagged NW fallback."""
-    est, fell_back = ll_batch(design, b, np.atleast_2d(np.asarray(s, float)))
-    if np.isnan(est[0]):
-        raise AllWeightsVanishedError(
-            "all kernel weights vanished; no design point supports this estimate"
-        )
-    if diagnostics is not None and fell_back[0]:
-        diagnostics.append("ll-singular-fallback")
-    return float(est[0])
-
-
 def batch_estimate(
     method: str,
     design: Design,
@@ -269,11 +199,11 @@ def batch_estimate(
 ) -> np.ndarray:
     """Evaluate one estimator at many points.
 
-    Results are identical to looping the single-point calls; per-point
-    failures become NaN entries and are appended to ``diagnostics`` (as
-    ``(point index, message)`` pairs) rather than aborting the batch.  For
-    GM the entries are ``(cell index, message)`` pairs instead, one per
-    cell whose cubature missed its tolerance, as in :func:`gm_estimate`.
+    This is the one evaluation path: the single-point functions are its
+    one-row calls.  Per-point failures become NaN entries and are appended
+    to ``diagnostics`` (as ``(point index, message)`` pairs) rather than
+    aborting the batch.  For GM the entries are ``(cell index, message)``
+    pairs instead, one per cell whose cubature missed its tolerance.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -284,13 +214,17 @@ def batch_estimate(
         _check_partition(design, partition)
         W, conv = gm_weight_matrix(partition, b, S, cfg)
         if diagnostics is not None:
-            diagnostics.extend(_gm_flags(conv))
+            diagnostics.extend(
+                (int(j), f"cell {j}: cubature tolerance not reached")
+                for j in np.nonzero(~conv)[0]
+            )
         # numpy's own loop, not BLAS: a point's value does not depend on its batch
         return np.einsum("mn,n->m", W, design.responses)
+    kw = KernelWeights(design.points, S, b)
     if method == NW:
-        out = nw_batch(design, b, S)
+        out = kw.nw(design.responses)
     else:
-        out, fell_back = ll_batch(design, b, S)
+        out, fell_back = kw.ll(design.responses)
         if diagnostics is not None:
             for i in np.nonzero(fell_back)[0]:
                 diagnostics.append((int(i), "ll singular; nw fallback"))
@@ -298,6 +232,60 @@ def batch_estimate(
         for i in np.nonzero(np.isnan(out))[0]:
             diagnostics.append((int(i), "all kernel weights vanished"))
     return out
+
+
+def _estimate_one(
+    method: str,
+    design: Design,
+    b: float,
+    s,
+    partition: SimplexPartition | None = None,
+    cfg: CubatureConfig | None = None,
+    diagnostics: list | None = None,
+) -> float:
+    """:func:`batch_estimate` at the one point ``s``; a point where every
+    kernel weight vanished raises :class:`AllWeightsVanishedError`."""
+    flags: list = []
+    value = batch_estimate(method, design, b, s, partition, cfg, flags)[0]
+    if np.isnan(value):
+        raise AllWeightsVanishedError(
+            "all kernel weights vanished; no design point supports this estimate"
+        )
+    if diagnostics is not None:
+        diagnostics.extend(flags)
+    return float(value)
+
+
+def gm_estimate(
+    design: Design,
+    partition: SimplexPartition,
+    b: float,
+    s,
+    cfg: CubatureConfig | None = None,
+    diagnostics: list | None = None,
+) -> float:
+    """Gasser-Muller estimate at ``s``, the one-row :func:`batch_estimate`.
+
+    When a list is supplied, each cell whose cubature missed its tolerance
+    is appended to ``diagnostics`` as a ``(cell index, message)`` pair; the
+    estimate is still returned.
+    """
+    return _estimate_one(GM, design, b, s, partition, cfg, diagnostics)
+
+
+def nw_estimate(design: Design, b: float, s) -> float:
+    """Nadaraya-Watson estimate at ``s``, the one-row :func:`batch_estimate`."""
+    return _estimate_one(NW, design, b, s)
+
+
+def ll_estimate(design: Design, b: float, s, diagnostics: list | None = None) -> float:
+    """Local linear estimate at ``s``, the one-row :func:`batch_estimate`.
+
+    Where the normal equations are singular the NW value is returned and,
+    when a list is supplied, ``(0, "ll singular; nw fallback")`` is appended
+    to ``diagnostics``.
+    """
+    return _estimate_one(LL, design, b, s, diagnostics=diagnostics)
 
 
 __all__ = [
@@ -310,8 +298,6 @@ __all__ = [
     "gm_weight_matrix",
     "gm_estimate",
     "nw_estimate",
-    "nw_batch",
     "ll_estimate",
-    "ll_batch",
     "batch_estimate",
 ]

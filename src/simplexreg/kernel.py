@@ -24,11 +24,12 @@ POINT_TOL = 1e-12
 def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
     """Validate an (n, d) array of barycentric coordinates and clamp float noise.
 
-    Coordinates within ``tol`` of the valid range are clamped, and a row
-    whose coordinate sum exceeds 1 within ``tol`` is divided by that sum;
-    anything farther out raises :class:`DomainError` (user error, not
-    rounding).  Each row is validated on its own, so a row gives the same
-    bits in any batch.
+    Coordinates within ``tol`` of the valid range are clamped to [0, 1],
+    and a row whose clamped sum still exceeds 1 is divided by its sum until
+    it does not; anything farther out raises :class:`DomainError` (user
+    error, not rounding).  Each row is validated on its own, so a row gives
+    the same bits in any batch, and validating validated points returns
+    them bit for bit.
 
     Parameters
     ----------
@@ -55,9 +56,13 @@ def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> n
     if np.any(sums > 1.0 + tol):
         raise DomainError(f"coordinate sum {sums.max()} exceeds 1 beyond tolerance")
     pts = np.clip(pts, 0.0, 1.0)
-    over = sums > 1.0
-    if np.any(over):
-        pts[over] /= sums[over, None]
+    # A row's largest coordinate exceeds 1/d, so it is a normal float and
+    # each division by a sum above 1 strictly lowers it: the loop ends
+    # (after at most two passes on near-boundary rows in practice).
+    over = np.nonzero(pts.sum(axis=1) > 1.0)[0]
+    while over.size:
+        pts[over] /= pts[over].sum(axis=1)[:, None]
+        over = over[pts[over].sum(axis=1) > 1.0]
     return pts
 
 

@@ -6,7 +6,6 @@ import pytest
 from simplexreg import (
     BandwidthSearch,
     Design,
-    ll_batch,
     loocv_ll,
     lscv,
     minimize_bandwidth,
@@ -165,10 +164,8 @@ class TestLoocv:
         for b in (0.1, 0.3):
             naive_terms = []
             for i in range(20):
-                rest = Design(
-                    points=np.delete(pts, i, axis=0), responses=np.delete(y, i)
-                )
-                pred, _ = ll_batch(rest, b, pts[i : i + 1])
+                kw = KernelWeights(np.delete(pts, i, axis=0), pts[i : i + 1], b)
+                pred, _ = kw.ll(np.delete(y, i))
                 naive_terms.append((y[i] - pred[0]) ** 2)
             naive = float(np.mean(naive_terms))
             assert loocv_ll(design, b) == pytest.approx(naive, rel=1e-12)

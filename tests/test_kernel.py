@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from simplexreg import (
@@ -176,6 +177,18 @@ class TestKappaGradient:
             kappa_gradient_coordinate([0.0, 0.5], 0.1, [0.3, 0.3], 0)
 
 
+@st.composite
+def over_one_rows(draw):
+    """(k, 2) points whose coordinate sums lie in (1, 1 + 9e-13]."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        a = draw(st.floats(0.0, 1.0))
+        row = [a, 1.0 - a + draw(st.floats(0.0, 9e-13))]
+        if 1.0 < sum(row) <= 1.0 + 9e-13:
+            rows.append(row)
+    return np.array(rows).reshape(-1, 2)
+
+
 class TestValidation:
     def test_validate_point_clamps_noise(self):
         p = validate_point([0.3, -1e-13])
@@ -194,6 +207,19 @@ class TestValidation:
         batch = validate_points(pts)
         for row, p in zip(batch, pts):
             assert np.array_equal(row, validate_point(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_simplex_points(), over_one_rows())
+    @example(np.empty((0, 2)), np.array([[0.12835567428051406, 0.871644325719663]]))
+    def test_validating_twice_equals_validating_once(self, pts, over):
+        pts = np.vstack([pts, over])
+        once = validate_points(pts)
+        assert np.array_equal(validate_points(once), once)
+        assert np.all(once.sum(axis=1) <= 1.0)
+        # rows that clamping alone brings onto the simplex keep their bits
+        clamped = np.clip(pts, 0.0, 1.0)
+        kept = clamped.sum(axis=1) <= 1.0
+        assert np.array_equal(once[kept], clamped[kept])
 
     def test_log_kappa_matrix_matches_scalar_path(self):
         centers = random_interior_points(6, 3)
