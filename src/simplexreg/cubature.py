@@ -26,7 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MismatchError
-from .geometry import SIMPLEX_TRIANGLE, ConvexCell
+from .geometry import (
+    CLIP_TOL,
+    SIMPLEX_TRIANGLE,
+    ConvexCell,
+    _clip_halfplane,
+    _dedup_ring,
+    cell_area,
+)
 
 # Hard safety valve against pathological integrands; generous enough that a
 # smooth integrand at the default tolerances never gets close.
@@ -115,7 +122,11 @@ def _tri_areas(coords: np.ndarray) -> np.ndarray:
     )
 
 
-_W57 = np.column_stack([_W7, _W7 - _W5])  # fine value and rule difference
+# Rows: the fine (degree-7) weights and the rule difference, whose
+# magnitude is the error estimate.
+_RULES = np.stack([_W7, _W7 - _W5])
+# Largest |rule value| / (triangle area * max |f|) over the two rows.
+_RULE_GAIN = float(np.abs(_RULES).sum(axis=1).max())
 
 
 def _eval_rules(f_batch, coords: np.ndarray, cols: np.ndarray):
@@ -123,16 +134,35 @@ def _eval_rules(f_batch, coords: np.ndarray, cols: np.ndarray):
 
     ``f_batch(points, cols)`` returns integrand values for the requested
     component columns only.  Returns per-triangle fine values ``(T, a)`` and
-    error estimates ``(T, a)`` for ``a = len(cols)``.
+    error estimates ``(T, a)`` for ``a = len(cols)``.  The points are
+    ordered rule point first, so the values reshape without a copy to
+    ``(19, T*a)`` and both rules are one ``(2, 19) @ (19, T*a)`` product
+    (``@``: BLAS at one thread beat ``einsum``'s own loop at every size
+    measured).
     """
-    T = coords.shape[0]
-    pts = np.einsum("qb,tbv->tqv", _BARY, coords).reshape(T * _NQ, 2)
-    vals = np.asarray(f_batch(pts, cols), dtype=float).reshape(T, _NQ, cols.size)
-    areas = _tri_areas(coords)
-    both = np.tensordot(vals, _W57, axes=([1], [0]))  # (T, a, 2)
-    fine = both[:, :, 0] * areas[:, None]
-    err = np.abs(both[:, :, 1]) * areas[:, None]
-    return fine, err
+    T, a = coords.shape[0], cols.size
+    pts = np.einsum("qb,tbv->qtv", _BARY, coords).reshape(_NQ * T, 2)
+    vals = np.asarray(f_batch(pts, cols), dtype=float).reshape(_NQ, T * a)
+    fine, diff = (_RULES @ vals).reshape(2, T, a)
+    areas = _tri_areas(coords)[:, None]
+    return fine * areas, np.abs(diff) * areas
+
+
+def negligible_components(log_bounds, area, cfg: CubatureConfig) -> np.ndarray:
+    """Components that need no integration: they pass the first round
+    with a value below the floor.
+
+    ``log_bounds`` (m, n) bounds ``log |f|`` from above on each of n cells
+    of the given ``area`` (NaN where no bound is known).  The first round's
+    value and error estimate of a component are each at most
+    ``area * G * exp(bound)``, with ``G`` the larger rule's sum of absolute
+    weights; where that is at most half the absolute floor (the half covers
+    rounding) the component passes in the first round and leaves the
+    refinement of every other component as it is.
+    """
+    with np.errstate(divide="ignore"):
+        limit = np.log(0.5 * cfg.absolute_floor / (_RULE_GAIN * np.asarray(area)))
+    return log_bounds <= limit
 
 
 def _split_longest_edge(coords: np.ndarray) -> np.ndarray:
@@ -221,16 +251,22 @@ def fan_triangulation(vertices: np.ndarray) -> np.ndarray:
 
 
 def _split_at_line(polys: list[np.ndarray], normal: np.ndarray, offset: float):
-    """Split each convex piece along the line ``normal . x = offset``."""
-    from .geometry import _clip_halfplane, _dedup_ring
+    """Split each convex piece along the line ``normal . x = offset``.
 
+    A piece the line misses by more than the clipping tolerance is kept as
+    it is, without the two clips: for a deduplicated ring, such as a
+    partition cell or a piece cut from one, they would return it unchanged.
+    """
     out: list[np.ndarray] = []
     for poly in polys:
+        values = poly @ normal - offset
+        tol = CLIP_TOL * max(1.0, float(np.abs(values).max()))
+        if values.max() < -tol or values.min() > tol:
+            out.append(poly)
+            continue
         lo = _dedup_ring(_clip_halfplane(poly, normal, offset))
         hi = _dedup_ring(_clip_halfplane(poly, -normal, -offset))
-        pieces = [p for p in (lo, hi) if p.shape[0] >= 3 and _tri_areas(
-            fan_triangulation(p)
-        ).sum() > 1e-16]
+        pieces = [p for p in (lo, hi) if p.shape[0] >= 3 and cell_area(p) > 1e-16]
         out.extend(pieces if pieces else [poly])
     return out
 
@@ -369,5 +405,6 @@ __all__ = [
     "integrate_polygon",
     "integrate_polygon_batch",
     "integrate_simplex",
+    "negligible_components",
     "shrunken_simplex_triangle",
 ]

@@ -23,14 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import CubatureConfig, integrate_polygon_batch
+from .cubature import CubatureConfig, integrate_polygon_batch, negligible_components
 from .errors import (
     AllWeightsVanishedError,
     InsufficientDataError,
     MismatchError,
 )
 from .geometry import SimplexPartition
-from .kernel import kappa_columns, log_kappa_matrix, validate_points
+from .kernel import (
+    kappa_columns,
+    log_kappa_cell_bounds,
+    log_kappa_matrix,
+    validate_points,
+)
 
 LL_RCOND = 1e-10
 
@@ -92,20 +97,37 @@ def gm_weight_matrix(
     ``cell_converged[j]`` reports whether cell j's cubature met tolerance for
     every evaluation point.  The kernel integral is nonnegative, so signed
     quadrature noise at the absolute floor is clamped away.
+
+    A pair whose kernel is bounded (by concavity of the log-kernel, see
+    :func:`~simplexreg.kernel.log_kappa_cell_bounds`) so far below the
+    absolute floor that it would pass the first cubature round anyway is
+    not integrated: its weight is exactly 0, the true weight is below the
+    floor, and every other pair's weight and every flag stay as they are.
     """
     cfg = cfg or CubatureConfig()
     S = validate_points(eval_points, dim=2)
     m = S.shape[0]
     f_batch = kappa_columns(S, b)
-    weights = np.empty((m, len(partition)))
-    converged = np.empty(len(partition), dtype=bool)
-    for j, cell in enumerate(partition.cells):
+    cells = partition.cells
+    bounds = log_kappa_cell_bounds(S, b, [cell.vertices for cell in cells])
+    skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
+    weights = np.zeros((m, len(partition)))
+    converged = np.ones(len(partition), dtype=bool)
+    for j, cell in enumerate(cells):
+        keep = np.flatnonzero(~skip[:, j])
+        if keep.size == 0:
+            continue
         vals, _, ok, _ = integrate_polygon_batch(
-            f_batch, cell, m, cfg, boundary_layer_scale=b
+            _columns_of(f_batch, keep), cell, keep.size, cfg, boundary_layer_scale=b
         )
-        weights[:, j] = np.maximum(vals, 0.0)
+        weights[keep, j] = np.maximum(vals, 0.0)
         converged[j] = ok
     return weights, converged
+
+
+def _columns_of(f_batch, keep: np.ndarray):
+    """``f_batch`` restricted to the components ``keep``, renumbered 0.."""
+    return lambda pts, cols: f_batch(pts, keep[cols])
 
 
 class KernelWeights:

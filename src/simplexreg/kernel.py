@@ -221,6 +221,50 @@ def kappa_columns(eval_points, b: float):
     return f_batch
 
 
+def _tangent_planes(vertices: np.ndarray) -> np.ndarray:
+    """Tangent data of a convex cell with r vertices, ``(P * (1 + r), 3)``.
+
+    The P tangent points ``p`` are the cell's centroid and its vertices
+    pulled 30% toward it; each contributes the row ``log p - 1`` and the r
+    rows ``v / p`` (full coordinates).  NaN or infinite entries at
+    degenerate cells make the bounds that use them NaN.
+    """
+    V = np.column_stack([vertices, last_coordinate(vertices)])
+    c = V.mean(axis=0)
+    P = np.vstack([c, 0.7 * V + 0.3 * c])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.concatenate([np.log(P)[:, None] - 1.0, V[None] / P[:, None]], axis=1)
+    return rows.reshape(-1, 3)
+
+
+def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
+    """Upper bounds on ``log kappa_{s_i,b}`` over convex cells, ``(m, cells)``.
+
+    ``log kappa_{s,b}(x) = norm + sum_j (s_j/b) log x_j`` is concave in x,
+    so ``log x_j <= log p_j - 1 + x_j/p_j`` at any interior point p gives
+    an affine upper bound, whose maximum over a convex cell sits at a
+    vertex.  Each bound is the least over the tangent points of
+    :func:`_tangent_planes`, from one product per cell.  ``cells`` holds
+    vertex arrays; a NaN bound means none is known.
+    """
+    if not (b > 0.0 and np.isfinite(b)):
+        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    S_full, norm = _centres(validate_points(eval_points), b)
+    centres = np.ascontiguousarray(S_full.T)
+    m = centres.shape[1]
+    out = np.empty((len(cells), m))
+    with np.errstate(invalid="ignore"):
+        for j, vertices in enumerate(cells):
+            V = np.asarray(vertices, dtype=float)
+            # (plane, [log p - 1, v_1 / p, ...], centre): reduce over the
+            # middle axes, so the inner loops run along the centres
+            A = (_tangent_planes(V) @ centres).reshape(-1, V.shape[0] + 1, m)
+            np.min(A[:, 0] + A[:, 1:].max(axis=1), axis=0, out=out[j])
+    out /= b
+    out += norm
+    return out.T
+
+
 def global_bound(d: int, b: float) -> float:
     """Uniform upper bound ``prod_{k=1..d} (1/b + k)`` on the kernel over
     all center/evaluation pairs in ``S_d``."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from simplexreg import (
     CubatureConfig,
@@ -11,18 +12,23 @@ from simplexreg import (
     psi_J,
 )
 from simplexreg import cubature
+from simplexreg.bandwidth import default_grid
 from simplexreg.cubature import (
     _BARY,
+    _NQ,
     _W5,
     _W7,
     _cached_graded_roots,
+    _eval_rules,
+    _tri_areas,
     fan_triangulation,
     graded_simplex_roots,
     integrate_polygon_batch,
     shrunken_simplex_triangle,
 )
 from simplexreg.errors import MismatchError
-from simplexreg.geometry import SIMPLEX_TRIANGLE
+from simplexreg.geometry import SIMPLEX_TRIANGLE, _clip_halfplane, _dedup_ring
+from simplexreg.kernel import kappa_columns
 
 
 def monomial_exact(p, q):
@@ -43,6 +49,49 @@ class TestRuleExactness:
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(8) for q in range(8 - p)])
     def test_degree7_rule_exact_to_degree_7(self, p, q):
         assert rule_value(_W7, p, q) == pytest.approx(monomial_exact(p, q), rel=1e-12)
+
+
+def eval_rules_oracle(f_batch, coords, cols):
+    """The rule pair applied triangle-major: values ``(T, 19, a)`` contracted
+    with ``[W7, W7 - W5]`` by ``tensordot``.  Also returns the error
+    estimate's rounding scale, ``area * sum_q |W7 - W5|_q |f_q|``."""
+    T = coords.shape[0]
+    pts = np.einsum("qb,tbv->tqv", _BARY, coords).reshape(T * _NQ, 2)
+    vals = np.asarray(f_batch(pts, cols), dtype=float).reshape(T, _NQ, cols.size)
+    areas = _tri_areas(coords)[:, None]
+    both = np.tensordot(vals, np.column_stack([_W7, _W7 - _W5]), axes=([1], [0]))
+    scale = np.tensordot(np.abs(vals), np.abs(_W7 - _W5), axes=([1], [0])) * areas
+    return both[:, :, 0] * areas, np.abs(both[:, :, 1]) * areas, scale
+
+
+def split_at_line_oracle(polys, normal, offset):
+    """Every piece clipped on both sides, areas from fan triangles."""
+    out = []
+    for poly in polys:
+        lo = _dedup_ring(_clip_halfplane(poly, normal, offset))
+        hi = _dedup_ring(_clip_halfplane(poly, -normal, -offset))
+        pieces = [p for p in (lo, hi) if p.shape[0] >= 3 and _tri_areas(
+            fan_triangulation(p)
+        ).sum() > 1e-16]
+        out.extend(pieces if pieces else [poly])
+    return out
+
+
+class TestRuleLayout:
+    @pytest.mark.parametrize("a", [1, 50])
+    def test_matches_triangle_major_oracle(self, a, rng):
+        centres = rng.dirichlet(np.ones(3), size=a)[:, :2]
+        f_batch = kappa_columns(centres, 0.05)
+        # random triangles inside the simplex, both orientations
+        coords = rng.dirichlet(np.ones(3), size=(40, 3))[:, :, :2]
+        cols = np.arange(a)
+        fine, err = _eval_rules(f_batch, coords, cols)
+        fine_o, err_o, scale = eval_rules_oracle(f_batch, coords, cols)
+        assert fine.shape == err.shape == (40, a)
+        assert_allclose(fine, fine_o, rtol=1e-14, atol=0)
+        # the error estimate is a difference of rules: its rounding is
+        # relative to the terms it cancels, not to itself
+        assert np.all(np.abs(err - err_o) <= 1e-14 * scale)
 
 
 class TestIntegratePolygon:
@@ -252,6 +301,24 @@ class TestBatchEngine:
         first = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
         again = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
         assert np.array_equal(first[0], again[0]) and first[2:] == again[2:]
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_graded_roots_match_clip_everything_oracle(self, k, request, monkeypatch):
+        partition = request.getfixturevalue(f"partition{k}")
+        grid = default_grid()[::4]
+        assert grid.size == 10
+        roots = [
+            graded_simplex_roots(cell.vertices, float(b))
+            for b in grid
+            for cell in partition.cells
+        ]
+        monkeypatch.setattr(cubature, "_split_at_line", split_at_line_oracle)
+        expected = [
+            graded_simplex_roots(cell.vertices, float(b))
+            for b in grid
+            for cell in partition.cells
+        ]
+        assert all(np.array_equal(r, e) for r, e in zip(roots, expected))
 
     def test_fan_triangulation_covers_polygon(self, partition7):
         for cell in partition7.cells[:6]:

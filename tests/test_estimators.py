@@ -27,7 +27,8 @@ from simplexreg.errors import (
     InsufficientDataError,
     MismatchError,
 )
-from simplexreg.kernel import validate_points
+from simplexreg.cubature import integrate_polygon_batch
+from simplexreg.kernel import kappa_columns, validate_points
 
 from conftest import random_interior_points
 
@@ -90,6 +91,27 @@ class TestGm:
         W_once, conv_once = gm_weight_matrix(partition7, 0.05, validate_points(pts))
         assert np.array_equal(W, W_once)
         assert np.array_equal(conv, conv_once)
+
+    @pytest.mark.parametrize("b", [1e-3, 1e-2, 0.07, 0.5])
+    def test_pruned_pairs_were_below_the_floor(self, partition7, b):
+        # oracle: every cell integrated for every point, nothing pruned
+        cfg = CubatureConfig()
+        corners = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1e-9, 0.3]]
+        S = np.vstack([uniform_simplex_sample(200, 11), corners])
+        f_batch = kappa_columns(S, b)
+        runs = [
+            integrate_polygon_batch(f_batch, cell, len(S), cfg, boundary_layer_scale=b)
+            for cell in partition7.cells
+        ]
+        oracle = np.column_stack([run[0] for run in runs])
+        W, converged = gm_weight_matrix(partition7, b, S, cfg)
+        assert np.array_equal(converged, [run[2] for run in runs])
+        pruned = (W == 0.0) & (oracle > 0.0)
+        assert np.all(oracle[pruned] < cfg.absolute_floor)
+        if b <= 1e-2:
+            assert pruned.mean() > 0.2
+        kept = ~pruned
+        assert_allclose(W[kept], np.maximum(oracle[kept], 0.0), rtol=1e-13, atol=0)
 
     def test_diagnostics_index_cells(self, mesh7, partition7):
         # too shallow a cubature for a peaked kernel: the entries name the

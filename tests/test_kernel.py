@@ -18,7 +18,12 @@ from simplexreg import (
 )
 from simplexreg.cubature import _BARY, graded_simplex_roots
 from simplexreg.errors import DomainError, PoleError
-from simplexreg.kernel import kappa_columns, validate_point, validate_points
+from simplexreg.kernel import (
+    kappa_columns,
+    log_kappa_cell_bounds,
+    validate_point,
+    validate_points,
+)
 
 from conftest import near_simplex_points, random_interior_points
 
@@ -112,6 +117,24 @@ class TestKappa:
         assert vals.shape == (pts.shape[0], cols.size)
         for k, i in enumerate(cols):
             assert_allclose(vals[:, k], kappa(centers[i], b, pts), rtol=1e-12)
+
+
+class TestCellBounds:
+    @pytest.mark.parametrize("b", [1e-3, 0.02, 0.3])
+    def test_bounds_dominate_the_kernel_on_each_cell(self, partition7, b):
+        # checked at each cell's vertices and its root quadrature points
+        corners = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1e-9, 0.3]]
+        centers = np.vstack([uniform_simplex_sample(50, 3), corners])
+        cells = [c.vertices for c in partition7.cells]
+        bounds = log_kappa_cell_bounds(centers, b, cells)
+        assert bounds.shape == (54, 28) and np.all(np.isfinite(bounds))
+        for j, vertices in enumerate(cells):
+            roots = graded_simplex_roots(vertices, b)
+            pts = np.vstack(
+                [vertices, np.einsum("qb,tbv->tqv", _BARY, roots).reshape(-1, 2)]
+            )
+            top = log_kappa_matrix(centers, b, pts).max(axis=1)
+            assert np.all(top <= bounds[:, j] + 1e-12 * (1.0 + np.abs(bounds[:, j])))
 
 
 class TestGlobalBound:

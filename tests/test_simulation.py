@@ -18,7 +18,7 @@ from simplexreg.errors import (
     UnknownFunctionError,
 )
 from simplexreg.estimators import gm_weight_matrix
-from simplexreg.simulation import _grid_criterion_values, noise_sd
+from simplexreg.simulation import _grid_criterion_values, _ks_normal_statistic, noise_sd
 from simplexreg.asymptotics import TargetFunction, bias_g
 
 
@@ -223,3 +223,16 @@ class TestCltStudy:
         assert np.array_equal(result.standardized, again.standardized)
         assert result.ks_statistic == again.ks_statistic
         assert 0.0 < result.ks_statistic < 1.0
+
+    def test_ks_statistic_equals_scipy_kstest(self, rng):
+        from scipy import stats
+
+        for n in (2, 3, 17, 105, 600):
+            for _ in range(5):
+                z = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-1, 1)
+                assert _ks_normal_statistic(z) == stats.kstest(z, "norm").statistic
+
+    def test_recorded_clt_statistic(self):
+        # the benchmark's CLT run; its statistic is pinned to the bit
+        result = clt_study(target_function("m5"), [1 / 3, 1 / 3], 105, 0.2, 500, 20250808)
+        assert result.ks_statistic == 0.07695946821639787
