@@ -10,6 +10,7 @@ synthetic dataset below keeps the demo self-contained.
 
 import collections
 import io
+import os
 import tempfile
 
 import numpy as np
@@ -31,7 +32,10 @@ with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as handle:
         handle.write(",".join(f"{v:.4f}" for v in row) + "\n")
     path = handle.name
 
-loaded = load_composition_csv(path)
+try:
+    loaded = load_composition_csv(path)
+finally:
+    os.unlink(path)
 print(f"loaded {loaded.design.n} records ({loaded.dropped_rows} dropped)")
 
 result = fit_and_grid(

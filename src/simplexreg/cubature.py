@@ -32,6 +32,7 @@ from .geometry import (
     ConvexCell,
     _clip_halfplane,
     _dedup_ring,
+    _shifted,
     cell_area,
 )
 
@@ -115,11 +116,8 @@ class CubatureResult:
 
 
 def _tri_areas(coords: np.ndarray) -> np.ndarray:
-    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    return 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+    e = coords[:, 1:] - coords[:, :1]  # edges b - a and c - a
+    return 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
 
 
 # Rows: the fine (degree-7) weights and the rule difference, whose
@@ -129,23 +127,25 @@ _RULES = np.stack([_W7, _W7 - _W5])
 _RULE_GAIN = float(np.abs(_RULES).sum(axis=1).max())
 
 
-def _eval_rules(f_batch, coords: np.ndarray, cols: np.ndarray):
+def _eval_rules(f_batch, coords: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Apply the embedded rule pair to a batch of triangles.
 
     ``f_batch(points, cols)`` returns integrand values for the requested
-    component columns only.  Returns per-triangle fine values ``(T, a)`` and
-    error estimates ``(T, a)`` for ``a = len(cols)``.  The points are
+    component columns only.  Returns one ``(2, T, a)`` array for
+    ``a = len(cols)``: the per-triangle fine values, then the error
+    estimates.  The points come from one ``(19, 3) @ (3, 2T)`` product
     ordered rule point first, so the values reshape without a copy to
     ``(19, T*a)`` and both rules are one ``(2, 19) @ (19, T*a)`` product
     (``@``: BLAS at one thread beat ``einsum``'s own loop at every size
-    measured).
+    measured), scaled by the areas in place.
     """
     T, a = coords.shape[0], cols.size
-    pts = np.einsum("qb,tbv->qtv", _BARY, coords).reshape(_NQ * T, 2)
+    pts = (_BARY @ coords.transpose(1, 0, 2).reshape(3, 2 * T)).reshape(_NQ * T, 2)
     vals = np.asarray(f_batch(pts, cols), dtype=float).reshape(_NQ, T * a)
-    fine, diff = (_RULES @ vals).reshape(2, T, a)
-    areas = _tri_areas(coords)[:, None]
-    return fine * areas, np.abs(diff) * areas
+    out = (_RULES @ vals).reshape(2, T, a)
+    out *= _tri_areas(coords)[:, None]
+    np.abs(out[1], out=out[1])
+    return out
 
 
 def negligible_components(log_bounds, area, cfg: CubatureConfig) -> np.ndarray:
@@ -165,31 +165,28 @@ def negligible_components(log_bounds, area, cfg: CubatureConfig) -> np.ndarray:
     return log_bounds <= limit
 
 
+# Children of a triangle whose longest edge is e (row e): indices into its
+# vertices 0-2 followed by its edge midpoints 3-5, where edge e runs from
+# vertex e to vertex e + 1 (mod 3).  The first child keeps vertex e, the
+# second vertex e + 1, and both keep the vertex opposite the edge.
+_NEXT = np.array([1, 2, 0])
+_CHILDREN = np.array([[0, 3, 2, 3, 1, 2], [1, 4, 0, 4, 2, 0], [2, 5, 1, 5, 0, 1]])
+
+
 def _split_longest_edge(coords: np.ndarray) -> np.ndarray:
-    """Bisect each triangle of ``coords`` (T, 3, 2) into two children."""
-    edge_len = np.stack(
-        [
-            ((coords[:, 1] - coords[:, 0]) ** 2).sum(axis=1),
-            ((coords[:, 2] - coords[:, 1]) ** 2).sum(axis=1),
-            ((coords[:, 0] - coords[:, 2]) ** 2).sum(axis=1),
-        ],
-        axis=1,
-    )
-    longest = np.argmax(edge_len, axis=1)
+    """Bisect each triangle of ``coords`` (T, 3, 2) into two children,
+    ``(2T, 3, 2)`` with the children of triangle t at rows 2t and 2t + 1."""
     T = coords.shape[0]
-    out = np.empty((2 * T, 3, 2))
-    idx = np.arange(T)
-    i = longest
-    j = (longest + 1) % 3
-    k = (longest + 2) % 3
-    mid = 0.5 * (coords[idx, i] + coords[idx, j])
-    out[0::2, 0] = coords[idx, i]
-    out[0::2, 1] = mid
-    out[0::2, 2] = coords[idx, k]
-    out[1::2, 0] = mid
-    out[1::2, 1] = coords[idx, j]
-    out[1::2, 2] = coords[idx, k]
-    return out
+    ext = np.empty((T, 6, 2))  # the vertices, then the edge midpoints
+    ext[:, :3] = coords
+    nxt = coords[:, _NEXT]
+    mids = ext[:, 3:]
+    np.subtract(nxt, coords, out=mids)  # first the edge vectors, for their lengths
+    longest = np.argmax((mids * mids).sum(axis=2), axis=1)
+    np.add(coords, nxt, out=mids)
+    mids *= 0.5
+    rows = _CHILDREN[longest] + 6 * np.arange(T)[:, None]
+    return ext.reshape(6 * T, 2)[rows].reshape(2 * T, 3, 2)
 
 
 def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
@@ -200,53 +197,57 @@ def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
     whose error is within a factor four of the worst splittable error on
     some active component, evaluating all children in one batched call.  The
     loop stops when all components passed, the triangle cap is reached, no
-    splittable triangle carries error, or no triangle is marked.
+    splittable triangle carries error, or no triangle is marked.  Values and
+    errors live in one ``(2, T, a)`` array, so a round takes one sum, one
+    column select when components freeze, and one concatenate.
     """
     coords = roots
     active = np.arange(m)
-    vals, errs = _eval_rules(f_batch, coords, active)
+    est = _eval_rules(f_batch, coords, active)
     depth = np.zeros(coords.shape[0], dtype=int)
-    out_val = np.empty(m)
-    out_err = np.empty(m)
+    out = np.empty((2, m))
     out_conv = np.empty(m, dtype=bool)
     max_tris = coords.shape[0]
     while True:
-        total = vals.sum(axis=0)
-        tot_err = errs.sum(axis=0)
-        tol = np.maximum(cfg.relative_tolerance * np.abs(total), cfg.absolute_floor)
-        passed = tot_err <= tol
-        out_val[active] = total
-        out_err[active] = tot_err
+        total = est.sum(axis=1)
+        tol = np.abs(total[0])
+        tol *= cfg.relative_tolerance
+        passed = total[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)
+        out[:, active] = total
         out_conv[active] = passed
-        if np.any(passed):
+        if passed.any():
             keep_cols = ~passed
             active = active[keep_cols]
-            vals = vals[:, keep_cols]
-            errs = errs[:, keep_cols]
+            est = est[:, :, keep_cols]
+        errs = est[1]
         splittable = depth < cfg.max_subdivisions
         # initial=0: with no active component left nothing needs splitting
-        col_max = np.where(splittable[:, None], errs, 0.0).max(axis=0, initial=0.0)
-        mark = splittable & np.any(errs >= 0.25 * col_max[None, :], axis=1)
-        if coords.shape[0] > _MAX_TRIANGLES or np.all(col_max <= 0.0) or not mark.any():
+        if splittable.all():
+            col_max = errs.max(axis=0, initial=0.0)
+            mark = (errs >= 0.25 * col_max).any(axis=1)
+        else:
+            col_max = np.where(splittable[:, None], errs, 0.0).max(axis=0, initial=0.0)
+            mark = splittable & (errs >= 0.25 * col_max).any(axis=1)
+        if coords.shape[0] > _MAX_TRIANGLES or (col_max <= 0.0).all() or not mark.any():
             break
         children = _split_longest_edge(coords[mark])
-        child_vals, child_errs = _eval_rules(f_batch, children, active)
+        child_est = _eval_rules(f_batch, children, active)
         child_depth = np.repeat(depth[mark] + 1, 2)
         keep = ~mark
         coords = np.concatenate([coords[keep], children])
-        vals = np.concatenate([vals[keep], child_vals])
-        errs = np.concatenate([errs[keep], child_errs])
+        est = np.concatenate([est[:, keep], child_est], axis=1)
         depth = np.concatenate([depth[keep], child_depth])
         max_tris = max(max_tris, coords.shape[0])
-    return out_val, out_err, bool(out_conv.all()), max_tris
+    return out[0], out[1], bool(out_conv.all()), max_tris
 
 
 def fan_triangulation(vertices: np.ndarray) -> np.ndarray:
     """Triangulate a convex polygon from its centroid: (m, 3, 2) array."""
     v = np.asarray(vertices, dtype=float)
-    centroid = v.mean(axis=0)
-    nxt = np.roll(v, -1, axis=0)
-    tris = np.stack([np.broadcast_to(centroid, v.shape), v, nxt], axis=1)
+    tris = np.empty((v.shape[0], 3, 2))
+    tris[:, 0] = v.sum(axis=0) / v.shape[0]  # the centroid, as v.mean(axis=0)
+    tris[:, 1] = v
+    tris[:, 2] = _shifted(v)
     return tris
 
 
@@ -260,8 +261,9 @@ def _split_at_line(polys: list[np.ndarray], normal: np.ndarray, offset: float):
     out: list[np.ndarray] = []
     for poly in polys:
         values = poly @ normal - offset
-        tol = CLIP_TOL * max(1.0, float(np.abs(values).max()))
-        if values.max() < -tol or values.min() > tol:
+        top, bottom = values.max(), values.min()
+        tol = CLIP_TOL * max(1.0, top, -bottom)
+        if top < -tol or bottom > tol:
             out.append(poly)
             continue
         lo = _dedup_ring(_clip_halfplane(poly, normal, offset))

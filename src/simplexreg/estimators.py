@@ -98,6 +98,11 @@ def gm_weight_matrix(
     every evaluation point.  The kernel integral is nonnegative, so signed
     quadrature noise at the absolute floor is clamped away.
 
+    The points of a batch share each cell's refinement: a triangle is split
+    when any point's integral needs it.  So a weight depends, within the
+    cubature tolerance, on which other points share the call, though not on
+    their order (permuting the points permutes the rows, up to rounding).
+
     A pair whose kernel is bounded (by concavity of the log-kernel, see
     :func:`~simplexreg.kernel.log_kappa_cell_bounds`) so far below the
     absolute floor that it would pass the first cubature round anyway is

@@ -11,6 +11,7 @@ objects are immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class ConvexCell:
         if not _point_strictly_inside(self.site, v):
             raise DomainError("site does not lie strictly inside its cell")
 
-    @property
+    @cached_property
     def area(self) -> float:
+        # the vertices never change; GM weights ask at every bandwidth
         return cell_area(self)
 
     @property
@@ -90,10 +92,16 @@ class SimplexPartition:
         }
 
 
+def _shifted(v: np.ndarray, k: int = 1) -> np.ndarray:
+    """``np.roll(v, -k, axis=0)`` for ``0 <= k <= len(v)``, without its
+    argument handling: row i is row ``i + k`` (mod ``len(v)``)."""
+    return np.concatenate((v[k:], v[:k]))
+
+
 def _edge_crosses(vertices: np.ndarray) -> np.ndarray:
     a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    c = np.roll(vertices, -2, axis=0)
+    b = _shifted(vertices, 1)
+    c = _shifted(vertices, 2)
     return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
@@ -101,7 +109,7 @@ def _edge_crosses(vertices: np.ndarray) -> np.ndarray:
 
 def _point_strictly_inside(p, vertices: np.ndarray, tol: float = 1e-12) -> bool:
     a = vertices
-    b = np.roll(vertices, -1, axis=0)
+    b = _shifted(vertices)
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         p[0] - a[:, 0]
     )
@@ -216,7 +224,7 @@ def cell_area(cell: ConvexCell | np.ndarray) -> float:
     """Polygon area by the shoelace formula."""
     v = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
     x, y = v[:, 0], v[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return float(0.5 * abs(np.dot(x, _shifted(y)) - np.dot(y, _shifted(x))))
 
 
 def cell_diameter(cell: ConvexCell | np.ndarray) -> float:

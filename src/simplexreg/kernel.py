@@ -13,6 +13,8 @@ evaluation overflows.  All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import gammaln
 
@@ -207,15 +209,31 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
 
 def kappa_columns(eval_points, b: float):
     """The GM cell integrand: maps ``(q, d)`` points x and indices ``cols``
-    to the ``(q, len(cols))`` values ``kappa_{s_i,b}(x)``, ``i`` in ``cols``."""
+    to the ``(q, len(cols))`` values ``kappa_{s_i,b}(x)``, ``i`` in ``cols``.
+
+    The log normalisation is a last row of the exponent matrix and meets a
+    row of ones under the log coordinates, so a call is one
+    ``(q, d + 2) @ (d + 2, len(cols))`` product and an ``exp`` in place.
+    """
     if not (b > 0.0 and np.isfinite(b)):
         raise DomainError(f"bandwidth must be positive and finite, got {b}")
     S_full, norm = _centres(validate_points(eval_points), b)
-    exponents = (S_full / b).T  # (d+1, m)
+    exponents = np.vstack([(S_full / b).T, norm])  # (d + 2, m)
+    d = S_full.shape[1] - 1
 
     def f_batch(pts: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = _log_coordinates(pts)[1] @ exponents[:, cols]
-        out += norm[cols]
+        # rows: the full coordinates as in _log_coordinates, then ones
+        logs = np.empty((d + 2, pts.shape[0]))
+        full = logs[: d + 1]
+        full[:d] = pts.T
+        full[:d].sum(axis=0, out=full[d])
+        np.subtract(1.0, full[d], out=full[d])
+        np.clip(full, 0.0, 1.0, out=full)
+        with np.errstate(divide="ignore"):
+            np.log(full, out=full)
+        np.maximum(full, -1e300, out=full)
+        logs[d + 1] = 1.0
+        out = logs.T @ exponents.take(cols, axis=1)
         return np.exp(out, out=out)
 
     return f_batch
@@ -237,6 +255,16 @@ def _tangent_planes(vertices: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, 3)
 
 
+@lru_cache(maxsize=8192)
+def _cached_tangent_planes(vertex_bytes: bytes, dim: int) -> np.ndarray:
+    """Read-only :func:`_tangent_planes` of a cell given by its vertex
+    bytes.  They do not depend on the bandwidth, and the GM weights bound
+    the same cells at every bandwidth of a grid."""
+    planes = _tangent_planes(np.frombuffer(vertex_bytes).reshape(-1, dim))
+    planes.setflags(write=False)
+    return planes
+
+
 def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
     """Upper bounds on ``log kappa_{s_i,b}`` over convex cells, ``(m, cells)``.
 
@@ -244,8 +272,8 @@ def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
     so ``log x_j <= log p_j - 1 + x_j/p_j`` at any interior point p gives
     an affine upper bound, whose maximum over a convex cell sits at a
     vertex.  Each bound is the least over the tangent points of
-    :func:`_tangent_planes`, from one product per cell.  ``cells`` holds
-    vertex arrays; a NaN bound means none is known.
+    :func:`_tangent_planes` (cached per cell), from one product per cell.
+    ``cells`` holds vertex arrays; a NaN bound means none is known.
     """
     if not (b > 0.0 and np.isfinite(b)):
         raise DomainError(f"bandwidth must be positive and finite, got {b}")
@@ -255,10 +283,11 @@ def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
     out = np.empty((len(cells), m))
     with np.errstate(invalid="ignore"):
         for j, vertices in enumerate(cells):
-            V = np.asarray(vertices, dtype=float)
+            V = np.ascontiguousarray(vertices, dtype=float)
+            planes = _cached_tangent_planes(V.tobytes(), V.shape[1])
             # (plane, [log p - 1, v_1 / p, ...], centre): reduce over the
             # middle axes, so the inner loops run along the centres
-            A = (_tangent_planes(V) @ centres).reshape(-1, V.shape[0] + 1, m)
+            A = (planes @ centres).reshape(-1, V.shape[0] + 1, m)
             np.min(A[:, 0] + A[:, 1:].max(axis=1), axis=0, out=out[j])
     out /= b
     out += norm

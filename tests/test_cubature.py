@@ -20,6 +20,7 @@ from simplexreg.cubature import (
     _W7,
     _cached_graded_roots,
     _eval_rules,
+    _split_longest_edge,
     _tri_areas,
     fan_triangulation,
     graded_simplex_roots,
@@ -75,6 +76,50 @@ def split_at_line_oracle(polys, normal, offset):
         ).sum() > 1e-16]
         out.extend(pieces if pieces else [poly])
     return out
+
+
+def split_longest_edge_oracle(coords):
+    """Bisection by per-vertex index arithmetic: squared edge lengths
+    stacked edge by edge, the first longest edge on ties, and the two
+    children written to the even and odd rows."""
+    edge_len = np.stack(
+        [
+            ((coords[:, 1] - coords[:, 0]) ** 2).sum(axis=1),
+            ((coords[:, 2] - coords[:, 1]) ** 2).sum(axis=1),
+            ((coords[:, 0] - coords[:, 2]) ** 2).sum(axis=1),
+        ],
+        axis=1,
+    )
+    i = np.argmax(edge_len, axis=1)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    idx = np.arange(coords.shape[0])
+    mid = 0.5 * (coords[idx, i] + coords[idx, j])
+    out = np.empty((2 * coords.shape[0], 3, 2))
+    out[0::2, 0], out[0::2, 1], out[0::2, 2] = coords[idx, i], mid, coords[idx, k]
+    out[1::2, 0], out[1::2, 1], out[1::2, 2] = mid, coords[idx, j], coords[idx, k]
+    return out
+
+
+class TestBisection:
+    def test_matches_index_arithmetic_oracle(self, rng):
+        # random triangles and triangles whose longest edges tie (two of
+        # them, or all three at a degenerate triangle), in every vertex
+        # order, then their children and grandchildren
+        tied = [
+            [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]],
+            [[0.25, 0.25], [0.75, 0.25], [0.5, 0.75]],
+            [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]],
+        ]
+        orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+        coords = np.vstack(
+            [np.array(t)[orders] for t in tied]
+            + [rng.dirichlet(np.ones(3), size=(50, 3))[:, :, :2]]
+        )
+        for _ in range(3):
+            children = _split_longest_edge(coords)
+            assert children.shape == (2 * coords.shape[0], 3, 2)
+            assert np.array_equal(children, split_longest_edge_oracle(coords))
+            coords = children
 
 
 class TestRuleLayout:
@@ -319,6 +364,13 @@ class TestBatchEngine:
             for cell in partition.cells
         ]
         assert all(np.array_equal(r, e) for r, e in zip(roots, expected))
+
+    def test_fan_triangulation_matches_stacked_form(self, partition7):
+        for cell in partition7.cells:
+            v = cell.vertices
+            centroid = np.broadcast_to(v.mean(axis=0), v.shape)
+            expected = np.stack([centroid, v, np.roll(v, -1, axis=0)], axis=1)
+            assert np.array_equal(fan_triangulation(v), expected)
 
     def test_fan_triangulation_covers_polygon(self, partition7):
         for cell in partition7.cells[:6]:

@@ -113,6 +113,19 @@ class TestGm:
         kept = ~pruned
         assert_allclose(W[kept], np.maximum(oracle[kept], 0.0), rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("b", [0.01, 0.2])
+    def test_rows_follow_a_permutation_of_the_points(self, partition7, b):
+        # refinement is shared by the batch and does not depend on the
+        # order of its points; the kernel product rounds by position
+        corners = [[0.0, 0.0], [0.5, 0.5], [0.2, 0.0]]
+        S = np.vstack([uniform_simplex_sample(120, 8), corners])
+        perm = np.random.default_rng(2).permutation(len(S))
+        W, converged = gm_weight_matrix(partition7, b, S)
+        W_perm, converged_perm = gm_weight_matrix(partition7, b, S[perm])
+        assert np.array_equal(converged_perm, converged)
+        assert np.array_equal(W_perm == 0.0, W[perm] == 0.0)
+        assert_allclose(W_perm, W[perm], rtol=1e-13, atol=0)
+
     def test_diagnostics_index_cells(self, mesh7, partition7):
         # too shallow a cubature for a peaked kernel: the entries name the
         # cells that missed their tolerance, for a batch and for one point

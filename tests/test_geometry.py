@@ -16,7 +16,13 @@ from simplexreg import (
     voronoi_partition,
 )
 from simplexreg.errors import DegenerateSiteError, DomainError
-from simplexreg.geometry import SIMPLEX_TRIANGLE, _clip_halfplane, _dedup_ring
+from simplexreg.geometry import (
+    SIMPLEX_TRIANGLE,
+    _clip_halfplane,
+    _dedup_ring,
+    _edge_crosses,
+    _shifted,
+)
 
 
 class TestMeshDesignPoints:
@@ -157,6 +163,24 @@ class TestCellGeometry:
         target = 0.5 / 28
         assert np.all(areas > 0.5 * target)
         assert np.all(areas < 2.6 * target)
+
+    def test_index_shifts_match_roll(self, partition7):
+        # the shifted copies, the shoelace area and the edge crosses keep
+        # the bits of their np.roll forms
+        for n in range(4):
+            v = np.arange(2.0 * n).reshape(n, 2)
+            for k in range(n + 1):
+                assert np.array_equal(_shifted(v, k), np.roll(v, -k, axis=0))
+        for cell in partition7.cells:
+            v = cell.vertices
+            x, y = v[:, 0], v[:, 1]
+            area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+            assert cell_area(v) == area and cell.area == area
+            b, c = np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)
+            cross = (b[:, 0] - v[:, 0]) * (c[:, 1] - v[:, 1]) - (b[:, 1] - v[:, 1]) * (
+                c[:, 0] - v[:, 0]
+            )
+            assert np.array_equal(_edge_crosses(v), cross)
 
     def test_unit_right_triangle_diameter(self):
         assert cell_diameter(SIMPLEX_TRIANGLE) == pytest.approx(np.sqrt(2.0))

@@ -119,6 +119,22 @@ class TestKappa:
             assert_allclose(vals[:, k], kappa(centers[i], b, pts), rtol=1e-12)
 
 
+class TestKappaColumns:
+    @pytest.mark.parametrize("b", [0.1, 0.3, 1.0])
+    def test_match_the_kernel_matrix(self, b):
+        # corner and edge centres and points: log 0 meets zero exponents
+        # (a factor 1) and positive ones (a factor 0)
+        edge = [[0.5, 0.0], [0.0, 0.4], [0.3, 0.7], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        S = np.vstack([uniform_simplex_sample(30, 4), edge])
+        X = np.vstack([uniform_simplex_sample(200, 5), edge, [[1e-12, 0.5]]])
+        cols = np.arange(S.shape[0])[::-1]
+        got = kappa_columns(S, b)(X, cols)
+        want = np.exp(log_kappa_matrix(S[cols], b, X)).T
+        assert got.shape == (X.shape[0], cols.size)
+        assert np.array_equal(got == 0.0, want == 0.0) and (want == 0.0).any()
+        assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 class TestCellBounds:
     @pytest.mark.parametrize("b", [1e-3, 0.02, 0.3])
     def test_bounds_dominate_the_kernel_on_each_cell(self, partition7, b):
