@@ -22,7 +22,7 @@ import numpy as np
 
 from .bandwidth import BandwidthResult, BandwidthSearch, select_loocv_ll
 from .errors import EmptyDatasetError, ParseError
-from .estimators import Design, KernelWeights
+from .estimators import LL, Design, batch_estimate
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,7 @@ def fit_and_grid(
     """Select the local linear bandwidth by LOOCV and evaluate it on a grid."""
     result = select_loocv_ll(design, search)
     grid_points = barycentric_grid(grid_resolution)
-    est, _ = KernelWeights(design.points, grid_points, result.b_hat).ll(
-        design.responses
-    )
+    est = batch_estimate(LL, design, result.b_hat, grid_points)
     rows = []
     for (s1, s2), value in zip(grid_points, est):
         s3 = max(0.0, 1.0 - s1 - s2)

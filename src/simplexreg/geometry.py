@@ -10,6 +10,7 @@ objects are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,7 +136,11 @@ def mesh_design_points(k: int) -> np.ndarray:
 
 
 def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against n . x <= offset."""
+    """Sutherland-Hodgman clip of a convex polygon against n . x <= offset.
+
+    The vertex walk runs on Python floats: each step is the IEEE operation
+    numpy would do on one element, at a fraction of numpy's per-call cost.
+    """
     if vertices.shape[0] == 0:
         return vertices
     values = vertices @ normal - offset
@@ -143,17 +148,16 @@ def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
     inside = values <= CLIP_TOL * scale
     if np.all(inside):
         return vertices
-    out: list[np.ndarray] = []
-    m = vertices.shape[0]
-    for i in range(m):
-        j = (i + 1) % m
-        vi, vj = vertices[i], vertices[j]
-        fi, fj = values[i], values[j]
-        if inside[i]:
-            out.append(vi)
-        if inside[i] != inside[j]:
-            t = fi / (fi - fj)
-            out.append(vi + t * (vj - vi))
+    pts, f, ins = vertices.tolist(), values.tolist(), inside.tolist()
+    out: list[list[float]] = []
+    for i in range(len(pts)):
+        j = i + 1 if i + 1 < len(pts) else 0
+        if ins[i]:
+            out.append(pts[i])
+        if ins[i] != ins[j]:
+            (xi, yi), (xj, yj) = pts[i], pts[j]
+            t = f[i] / (f[i] - f[j])
+            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
     return np.array(out) if out else np.empty((0, 2))
 
 
@@ -162,13 +166,22 @@ def _radius(vertices: np.ndarray, s: np.ndarray) -> float:
 
 
 def _dedup_ring(vertices: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Drop each vertex within ``tol`` of the last one kept, and the last
+    kept if it is within ``tol`` of the first (on Python floats, as in
+    :func:`_clip_halfplane`)."""
     if vertices.shape[0] == 0:
         return vertices
-    keep = [vertices[0]]
-    for v in vertices[1:]:
-        if np.linalg.norm(v - keep[-1]) > tol:
-            keep.append(v)
-    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= tol:
+
+    def apart(p, q) -> bool:
+        dx, dy = p[0] - q[0], p[1] - q[1]
+        return math.sqrt(dx * dx + dy * dy) > tol
+
+    pts = vertices.tolist()
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if apart(p, keep[-1]):
+            keep.append(p)
+    if len(keep) > 1 and not apart(keep[0], keep[-1]):
         keep.pop()
     return np.array(keep)
 

@@ -51,17 +51,25 @@ def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> n
         raise DomainError(f"expected dimension {dim}, got {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("point has non-finite coordinates")
-    negative = np.any(pts < -tol, axis=1)
-    if negative.any():
+    low = pts.min(initial=np.inf)
+    if low < -tol:
+        negative = np.any(pts < -tol, axis=1)
         raise DomainError(f"negative coordinate beyond tolerance: {pts[negative][0]}")
     sums = pts.sum(axis=1)
     if np.any(sums > 1.0 + tol):
         raise DomainError(f"coordinate sum {sums.max()} exceeds 1 beyond tolerance")
-    pts = np.clip(pts, 0.0, 1.0)
+    # whole-array extremes first: row reductions over a few columns are
+    # slow, and points already in [0, 1] (a design validated before, met
+    # again in every row block of a batch) need neither the clamp nor new sums
+    if low < 0.0 or pts.max(initial=-np.inf) > 1.0:
+        pts = np.clip(pts, 0.0, 1.0)
+        sums = pts.sum(axis=1)
+    else:
+        pts = pts.copy()
     # A row's largest coordinate exceeds 1/d, so it is a normal float and
     # each division by a sum above 1 strictly lowers it: the loop ends
     # (after at most two passes on near-boundary rows in practice).
-    over = np.nonzero(pts.sum(axis=1) > 1.0)[0]
+    over = np.nonzero(sums > 1.0)[0]
     while over.size:
         pts[over] /= pts[over].sum(axis=1)[:, None]
         over = over[pts[over].sum(axis=1) > 1.0]

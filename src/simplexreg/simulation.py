@@ -38,6 +38,7 @@ from .estimators import (
     Design,
     KernelWeights,
     gm_weight_matrix,
+    weight_row_blocks,
 )
 from .geometry import (
     mesh_design_points,
@@ -240,15 +241,17 @@ def _rep_seeds(master: int, k: int, rep: int):
 def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
     """LSCV values on the shared grid for every (function, method) pair.
 
-    Per bandwidth, one kernel-weight structure and one GM weight matrix
-    serve all functions, and one local linear solve takes the responses of
-    every function as columns.  Values agree bit-for-bit with
+    Per bandwidth, one GM weight matrix and one kernel-weight structure per
+    row block of the sample (one block at study sizes) serve all functions,
+    and one local linear solve takes the responses of every function as
+    columns.  Values agree bit-for-bit with
     :func:`simplexreg.bandwidth.lscv`: the same solver and the same
     criterion formula run underneath.
     """
     grid = cfg.search.grid
     dim = points.shape[1]
     ys = [designs[f].responses for f in cfg.functions]
+    Y = np.column_stack(ys)
     out = {
         (f, meth): np.full(grid.size, np.inf)
         for f in cfg.functions
@@ -259,12 +262,17 @@ def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
         if GM in cfg.methods:
             gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
             ests[GM] = [np.einsum("mn,n->m", gm_W, y) for y in ys]
-        if NW in cfg.methods or LL in cfg.methods:
-            kw = KernelWeights(points, sample, b)
-            if NW in cfg.methods:
-                ests[NW] = [kw.nw(y) for y in ys]
-            if LL in cfg.methods:
-                ests[LL] = kw.ll(np.column_stack(ys))[0].T
+        for meth in (NW, LL):
+            if meth in cfg.methods:
+                ests[meth] = np.empty((len(ys), sample.shape[0]))
+        if NW in ests or LL in ests:
+            for rows in weight_row_blocks(sample.shape[0], points.shape[0]):
+                kw = KernelWeights(points, sample[rows], b)
+                if NW in ests:
+                    ests[NW][:, rows] = [kw.nw(y) for y in ys]
+                if LL in ests:
+                    ests[LL][:, rows] = kw.ll(Y)[0].T
+                del kw  # so the next block's weights replace this block's
         for meth, per_function in ests.items():
             for f, est in zip(cfg.functions, per_function):
                 out[(f, meth)][bi] = _mc_ise(est, truths[f], dim)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from simplexreg import mesh_design_points, voronoi_partition
+from simplexreg import estimators, mesh_design_points, voronoi_partition
+from simplexreg.app import barycentric_grid
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +49,30 @@ def random_interior_points(count, seed, margin=0.02):
 
     pts = uniform_simplex_sample(count, seed)
     return pts * (1.0 - 3.0 * margin) + margin
+
+
+def edge_design():
+    """Design points on the simplex edges only: interior evaluation points
+    lose every weight, edge points see collinear points, corners solve."""
+    G = barycentric_grid(10)
+    return G[np.minimum(G.min(axis=1), 1.0 - G.sum(axis=1)) <= 1e-12]
+
+
+def force_blocks(monkeypatch, n, rows=16):
+    """Set the NW/LL weight budget to ``rows`` rows of an n-column matrix."""
+    monkeypatch.setattr(estimators, "WEIGHT_BLOCK_BYTES", 8 * n * rows)
+
+
+def peak_traced_bytes(fn):
+    """Run ``fn()`` under tracemalloc; return the peak of the bytes it held
+    at once, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 @st.composite

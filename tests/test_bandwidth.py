@@ -15,10 +15,11 @@ from simplexreg import (
     target_function,
     uniform_simplex_sample,
 )
-from simplexreg.errors import AllInfiniteError, InsufficientDataError
+from simplexreg import estimators
+from simplexreg.errors import AllInfiniteError, InsufficientDataError, MismatchError
 from simplexreg.estimators import KernelWeights
 
-from conftest import random_interior_points
+from conftest import edge_design, force_blocks, peak_traced_bytes, random_interior_points
 
 
 class TestMinimizeBandwidth:
@@ -169,6 +170,43 @@ class TestLoocv:
                 naive_terms.append((y[i] - pred[0]) ** 2)
             naive = float(np.mean(naive_terms))
             assert loocv_ll(design, b) == pytest.approx(naive, rel=1e-12)
+
+    def test_memory_is_bounded_by_the_budget(self):
+        # one call's 990 x 990 weights would be 7.5 MiB
+        X = random_interior_points(990, 5)
+        design = Design(points=X, responses=np.cos(X[:, 0]) + X[:, 1])
+        peak, value = peak_traced_bytes(lambda: loocv_ll(design, 0.05))
+        assert np.isfinite(value)
+        assert peak < 1.5 * estimators.WEIGHT_BLOCK_BYTES
+
+    @pytest.mark.parametrize("case", ["mesh10", "edges"])
+    def test_blocked_rows_match_one_block(self, mesh10, monkeypatch, case):
+        # at b = 2e-3 mesh10 mixes solved points with NW fallbacks; on the
+        # edge design most held-out points see only collinear neighbours
+        X, b = (mesh10, 2e-3) if case == "mesh10" else (edge_design(), 0.1)
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2
+        design = Design(points=X, responses=y)
+        n = X.shape[0]
+        assert len(estimators.weight_row_blocks(n, n)) == 1
+        one, one_fell_back = KernelWeights(X, X, b, leave_one_out=True).ll(y)
+        one_value = loocv_ll(design, b)
+        assert one_fell_back.any() and not one_fell_back.all()
+        force_blocks(monkeypatch, n, rows=8)
+        blocks = estimators.weight_row_blocks(n, n)
+        assert len(blocks) >= 3
+        for rows in blocks:
+            kw = KernelWeights(X, X[rows], b, leave_one_out=True, rows=rows)
+            est, fell_back = kw.ll(y)
+            assert np.array_equal(fell_back, one_fell_back[rows])
+            np.testing.assert_allclose(est, one[rows], rtol=1e-14)
+        value = loocv_ll(design, b)
+        assert value == pytest.approx(one_value, rel=1e-14)
+
+    def test_leave_one_out_rows_must_match_the_points(self, mesh7):
+        with pytest.raises(MismatchError):
+            KernelWeights(mesh7, mesh7[:5], 0.1, leave_one_out=True, rows=slice(0, 6))
+        with pytest.raises(MismatchError):
+            KernelWeights(mesh7, mesh7[:5], 0.1, leave_one_out=True, rows=slice(26, 31))
 
     def test_select_loocv_runs_end_to_end(self):
         rng = np.random.default_rng(31)

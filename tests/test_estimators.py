@@ -1,5 +1,4 @@
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from simplexreg.errors import (
 from simplexreg.cubature import integrate_polygon_batch
 from simplexreg.kernel import kappa_columns, validate_points
 
-from conftest import random_interior_points
+from conftest import edge_design, force_blocks, peak_traced_bytes, random_interior_points
 
 
 def noiseless(points, fn):
@@ -274,13 +273,6 @@ def row_slice(kw, rows):
     return part
 
 
-def edge_design():
-    """Design points on the simplex edges only: interior evaluation points
-    lose every weight, edge points see collinear points, corners solve."""
-    G = barycentric_grid(10)
-    return G[np.minimum(G.min(axis=1), 1.0 - G.sum(axis=1)) <= 1e-12]
-
-
 class TestLlSolver:
     """The one local linear solver behind grid, study and LOOCV."""
 
@@ -350,12 +342,7 @@ class TestLlSolver:
     def test_memory_stays_bounded_on_a_large_grid(self):
         X = random_interior_points(1000, 5)
         kw = KernelWeights(X, barycentric_grid(100), 0.05)
-        tracemalloc.start()
-        try:
-            kw.ll(np.cos(X[:, 0]) + X[:, 1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_traced_bytes(lambda: kw.ll(np.cos(X[:, 0]) + X[:, 1]))
         assert peak < 100 * 2**20
 
     def test_weights_keep_one_matrix_alive(self):
@@ -363,12 +350,7 @@ class TestLlSolver:
         # (39 MiB for 5151 x 990) is the only large array built
         X = random_interior_points(990, 5)
         grid = barycentric_grid(100)
-        tracemalloc.start()
-        try:
-            kw = KernelWeights(X, grid, 0.05)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, kw = peak_traced_bytes(lambda: KernelWeights(X, grid, 0.05))
         assert kw.w.nbytes > 38 * 2**20
         assert peak < 60 * 2**20
 
@@ -454,6 +436,57 @@ class TestBatch:
         assert np.isnan(out[0])
         assert np.isfinite(out[1])  # the corner point sits on a design point
         assert any(i == 0 for i, _ in diags)
+
+
+class TestRowBlocks:
+    """NW and LL evaluate the kernel weights one row block at a time."""
+
+    @pytest.mark.parametrize(
+        "m, n", [(0, 5), (1, 990), (5, 66), (231, 66), (5151, 990), (990, 990), (3, 10**6)]
+    )
+    def test_fewest_near_equal_blocks_under_the_budget(self, m, n):
+        blocks = estimators.weight_row_blocks(m, n)
+        sizes = [r.stop - r.start for r in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == z.start for a, z in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        budget = estimators.WEIGHT_BLOCK_BYTES
+        assert max(sizes) * 8 * n <= budget or max(sizes) == 1
+        # one block fewer would put a block over the budget
+        fewer = len(blocks) - 1
+        assert fewer == 0 or -(-m // fewer) * 8 * n > budget
+
+    @pytest.mark.parametrize("method", ["NW", "LL"])
+    def test_batch_memory_is_bounded_by_the_budget(self, method):
+        # one call's 5151 x 990 weights would be 39 MiB
+        X = random_interior_points(990, 5)
+        design = Design(points=X, responses=np.cos(X[:, 0]) + X[:, 1])
+        grid = barycentric_grid(100)
+        peak, est = peak_traced_bytes(lambda: batch_estimate(method, design, 0.05, grid))
+        assert np.isfinite(est).all()
+        assert peak < 1.5 * estimators.WEIGHT_BLOCK_BYTES
+
+    @pytest.mark.parametrize("case", ["mesh10", "edges"])
+    @pytest.mark.parametrize("method", ["NW", "LL"])
+    def test_blocked_batch_matches_one_block(self, mesh10, monkeypatch, case, method):
+        # at b = 2e-3 mesh10 mixes solved points with NW fallbacks; on the
+        # edge design interior points lose every weight
+        X, b = (mesh10, 2e-3) if case == "mesh10" else (edge_design(), 0.1)
+        design = noiseless(X, lambda p: np.sin(3 * p[:, 0]) + p[:, 1] ** 2)
+        S = barycentric_grid(20)
+        assert len(estimators.weight_row_blocks(S.shape[0], X.shape[0])) == 1
+        one_diags = []
+        one = batch_estimate(method, design, b, S, diagnostics=one_diags)
+        force_blocks(monkeypatch, X.shape[0])
+        assert len(estimators.weight_row_blocks(S.shape[0], X.shape[0])) >= 3
+        diags = []
+        blocked = batch_estimate(method, design, b, S, diagnostics=diags)
+        # same flags with global point indices; values equal up to the
+        # summation order of the log-kernel's BLAS product
+        assert diags == one_diags
+        assert any("vanished" in msg for _, msg in diags) == (case == "edges")
+        assert any("fallback" in msg for _, msg in diags) == (method == "LL")
+        assert_allclose(blocked, one, rtol=1e-14)
 
 
 class TestEquivariance:

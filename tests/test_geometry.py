@@ -15,14 +15,61 @@ from simplexreg import (
     uniform_simplex_sample,
     voronoi_partition,
 )
+from simplexreg import cubature, geometry
+from simplexreg.bandwidth import default_grid
+from simplexreg.cubature import graded_simplex_roots
 from simplexreg.errors import DegenerateSiteError, DomainError
 from simplexreg.geometry import (
+    CLIP_TOL,
+    DEDUP_TOL,
     SIMPLEX_TRIANGLE,
     _clip_halfplane,
     _dedup_ring,
     _edge_crosses,
     _shifted,
 )
+
+
+def clip_halfplane_oracle(vertices, normal, offset):
+    """The clip with its vertex walk on numpy rows, kept as an oracle."""
+    if vertices.shape[0] == 0:
+        return vertices
+    values = vertices @ normal - offset
+    scale = max(1.0, float(np.abs(values).max()))
+    inside = values <= CLIP_TOL * scale
+    if np.all(inside):
+        return vertices
+    out = []
+    m = vertices.shape[0]
+    for i in range(m):
+        j = (i + 1) % m
+        vi, vj = vertices[i], vertices[j]
+        fi, fj = values[i], values[j]
+        if inside[i]:
+            out.append(vi)
+        if inside[i] != inside[j]:
+            t = fi / (fi - fj)
+            out.append(vi + t * (vj - vi))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def dedup_ring_oracle(vertices, tol=DEDUP_TOL):
+    """The ring deduplication on numpy rows, kept as an oracle."""
+    if vertices.shape[0] == 0:
+        return vertices
+    keep = [vertices[0]]
+    for v in vertices[1:]:
+        if np.linalg.norm(v - keep[-1]) > tol:
+            keep.append(v)
+    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= tol:
+        keep.pop()
+    return np.array(keep)
+
+
+def patch_oracle_clip(monkeypatch):
+    for module in (geometry, cubature):
+        monkeypatch.setattr(module, "_clip_halfplane", clip_halfplane_oracle)
+        monkeypatch.setattr(module, "_dedup_ring", dedup_ring_oracle)
 
 
 class TestMeshDesignPoints:
@@ -116,6 +163,39 @@ class TestVoronoiPartition:
         part = voronoi_partition(sites)
         for i, cell in enumerate(part.cells):
             assert np.array_equal(cell.vertices, plain_cell(i))
+
+    @pytest.mark.parametrize("k", [10, 14])
+    def test_cells_match_numpy_vertex_walk_oracle(self, k, monkeypatch):
+        sites = mesh_design_points(k)
+        cells = voronoi_partition(sites).cells
+        patch_oracle_clip(monkeypatch)
+        expected = voronoi_partition(sites).cells
+        assert all(np.array_equal(c.vertices, e.vertices) for c, e in zip(cells, expected))
+
+    def test_graded_roots_match_numpy_vertex_walk_oracle(self, partition10, monkeypatch):
+        grid = default_grid()[::4]
+        pairs = [(cell.vertices, float(b)) for b in grid for cell in partition10.cells]
+        roots = [graded_simplex_roots(v, b) for v, b in pairs]
+        patch_oracle_clip(monkeypatch)
+        expected = [graded_simplex_roots(v, b) for v, b in pairs]
+        assert all(np.array_equal(r, e) for r, e in zip(roots, expected))
+
+    def test_clip_and_dedup_match_numpy_vertex_walk_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
+            poly = rng.uniform(0.2, 0.8, 2) + 0.3 * np.column_stack(
+                [np.cos(angles), np.sin(angles)]
+            )
+            normal = rng.normal(size=2)
+            # lines through the polygon, through a vertex, and missing it
+            for offset in (poly[rng.integers(len(poly))] @ normal, rng.normal()):
+                clipped = _clip_halfplane(poly, normal, offset)
+                assert np.array_equal(clipped, clip_halfplane_oracle(poly, normal, offset))
+            # near-duplicate vertices, across the ring's closing edge too
+            ring = np.repeat(poly, rng.integers(1, 3, len(poly)), axis=0)
+            ring = np.roll(ring, -1, axis=0) + rng.choice([0.0, 3e-11, 2e-10], ring.shape)
+            assert np.array_equal(_dedup_ring(ring), dedup_ring_oracle(ring))
 
     def test_point_location_consistency(self, partition7):
         pts = uniform_simplex_sample(10_000, 5150)

@@ -228,7 +228,43 @@ def over_one_rows(draw):
     return np.array(rows).reshape(-1, 2)
 
 
+def validate_points_oracle(points, tol=1e-12):
+    """Point validation with row reductions and an unconditional clamp,
+    kept as an oracle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)) or np.any(pts < -tol):
+        raise DomainError("invalid")
+    if np.any(pts.sum(axis=1) > 1.0 + tol):
+        raise DomainError("invalid")
+    pts = np.clip(pts, 0.0, 1.0)
+    over = np.nonzero(pts.sum(axis=1) > 1.0)[0]
+    while over.size:
+        pts[over] /= pts[over].sum(axis=1)[:, None]
+        over = over[pts[over].sum(axis=1) > 1.0]
+    return pts
+
+
 class TestValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(near_simplex_points(), over_one_rows())
+    @example(np.array([[-0.0, 0.5], [0.25, 0.25]]), np.empty((0, 2)))
+    @example(np.array([[0.25, 0.25]]), np.array([[0.5, 0.5 + 2**-52]]))
+    def test_matches_clamp_everything_oracle(self, pts, over):
+        pts = np.vstack([pts, over])
+        given_pts = pts.copy()
+        got, want = validate_points(pts), validate_points_oracle(pts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.shares_memory(got, pts)
+        assert np.array_equal(pts, given_pts)
+
+    def test_clamped_rows_get_new_sums(self):
+        # a clamped negative part can push a three-part row over 1
+        pts = np.array([[-4e-13, 0.5, 0.5 + 2e-13], [0.2, 0.3, 0.4]])
+        got = validate_points(pts)
+        assert np.array_equal(got, validate_points_oracle(pts))
+        assert got[0].sum() <= 1.0 < np.clip(pts[0], 0.0, 1.0).sum()
+
     def test_validate_point_clamps_noise(self):
         p = validate_point([0.3, -1e-13])
         assert p[1] == 0.0
