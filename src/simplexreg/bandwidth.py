@@ -3,10 +3,9 @@
 Two criteria are provided: a Monte Carlo least-squares criterion against a
 known target (the simulation-study selector) and leave-one-out
 cross-validation for the local linear smoother on real data.  The latter
-runs on the one local linear solver of
-:class:`~simplexreg.estimators.KernelWeights`, which works from weighted
-moments of the design, with each point's own weight removed
-(``leave_one_out=True``), in row blocks of bounded memory.  Both criteria
+is one :func:`~simplexreg.estimators.kernel_estimates` call, the LL
+evaluation of grids and the study, with each point's own weight removed
+(``leave_one_out=True``).  Both criteria
 can be multimodal, so the minimizer evaluates a log-spaced grid first and
 only then refines the best bracket by golden section; the full evaluation
 trace is returned for plotting.
@@ -21,7 +20,7 @@ import numpy as np
 
 from .cubature import CubatureConfig
 from .errors import AllInfiniteError
-from .estimators import GM, Design, KernelWeights, batch_estimate, weight_row_blocks
+from .estimators import GM, LL, Design, batch_estimate, kernel_estimates
 from .geometry import SimplexPartition
 from .kernel import validate_points
 
@@ -153,21 +152,17 @@ def loocv_ll(design: Design, b: float) -> float:
     prediction is undefined (a flagged, skippable bandwidth).
 
     The held-out predictions are the local linear fits of
-    ``KernelWeights(..., leave_one_out=True)``, one row block of the design
-    at a time (see :func:`~simplexreg.estimators.weight_row_blocks`): the
-    row of observation i drops it from both the normal equations and the
-    log-weight rescaling, and a singular system falls back to the
-    leave-one-out kernel average.
+    :func:`~simplexreg.estimators.kernel_estimates` with
+    ``leave_one_out=True``: the row of observation i drops it from both the
+    normal equations and the log-weight rescaling, and a singular system
+    falls back to the leave-one-out kernel average.
     """
-    X = design.points
-    preds = np.empty(design.n)
-    for rows in weight_row_blocks(design.n, design.n):
-        kw = KernelWeights(X, X[rows], b, leave_one_out=True, rows=rows)
-        preds[rows] = kw.ll(design.responses)[0]
-        del kw  # so the next block's weights replace this block's
+    X, y = design.points, design.responses
+    est, _ = kernel_estimates(X, X, b, y[:, None], [LL], leave_one_out=True)
+    preds = est[LL][:, 0]
     if np.any(np.isnan(preds)):
         return float("inf")
-    return float(np.mean((design.responses - preds) ** 2))
+    return float(np.mean((y - preds) ** 2))
 
 
 def select_lscv(

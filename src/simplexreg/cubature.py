@@ -342,10 +342,7 @@ def integrate_polygon(f, cell, cfg: CubatureConfig | None = None) -> CubatureRes
         ``converged`` is False when the subdivision depth was exhausted; the
         best available estimate is still returned.
     """
-    cfg = cfg or CubatureConfig()
-    verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
-    roots = fan_triangulation(verts)
-    value, err, converged, ntri = _adaptive(_as_batch_callable(f), roots, cfg, 1)
+    value, err, converged, ntri = integrate_polygon_batch(_as_batch_callable(f), cell, 1, cfg)
     return CubatureResult(float(value[0]), float(err[0]), converged, ntri)
 
 

@@ -12,10 +12,11 @@ Kernel weights span hundreds of orders of magnitude for small bandwidths, so
 ``nw``/``ll`` work from log-kernel values with per-row max subtraction, and
 ``ll`` falls back to ``nw`` (with a flag) where the normal equations are
 numerically singular.  Everything is pure given immutable inputs.
-:func:`batch_estimate` is the one evaluation path, and it evaluates NW and
-LL in row blocks of the kernel-weight matrix (see :func:`weight_row_blocks`),
-so memory stays bounded however many points a batch holds; the
-single-point functions are its one-row calls.
+:func:`batch_estimate` is the one evaluation path; the single-point
+functions are its one-row calls.  Every NW and LL value, LOOCV and the
+study included, comes from :func:`kernel_estimates`, which builds the
+kernel weights one row block at a time, so memory stays bounded however
+many points a call holds.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .kernel import (
 
 LL_RCOND = 1e-10
 # Bytes of one row block of NW/LL kernel weights: no call holds more than
-# one block of the m x n matrix.  Each block validates the design again and
-# rebuilds its logs and LL moment columns (about 0.6 ms at n = 990 on a
-# 2-vCPU x86 host), so there 2 MiB blocks, the L2 size, cost `fit` 17% more
-# CPU than one whole-matrix call and these 4%, for 3 MiB more peak RSS.
+# one block of the m x n matrix.  A block costs about 0.6 ms of fixed work at
+# n = 990 on a 2-vCPU x86 host (under 0.2 ms design-side: validation, logs,
+# LL moment columns; the rest SVD/solve and numpy call overhead), so 2 MiB
+# blocks, the L2 size, cost `fit` 17% more CPU than one whole-matrix call
+# and these 4%, for 3 MiB more peak RSS.
 WEIGHT_BLOCK_BYTES = 4 * 2**20
 
 GM = "GM"
@@ -246,6 +248,35 @@ def weight_row_blocks(m: int, n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def kernel_estimates(x_points, eval_points, b: float, Y, methods, leave_one_out=False):
+    """NW and/or LL estimates of the ``(n, r)`` response columns ``Y``.
+
+    Returns ``(estimates, fell_back)``: ``estimates`` maps each of NW and LL
+    in ``methods`` to its ``(m, r)`` values (NaN where every weight
+    vanished), and ``fell_back`` flags the ``(m,)`` points where LL took
+    the NW value.  With ``leave_one_out=True`` the evaluation points are the
+    design points, each row leaving its own observation out.  This is the
+    one loop over :func:`weight_row_blocks`: each block's
+    :class:`KernelWeights` is freed before the next is built.
+    """
+    X = validate_points(x_points)
+    S = validate_points(eval_points, dim=X.shape[1])
+    if leave_one_out and S.shape[0] != X.shape[0]:
+        raise MismatchError("leave-one-out estimates need the design as points")
+    # NW reads contiguous columns: einsum over a strided one rounds differently
+    cols = np.ascontiguousarray(np.asarray(Y, dtype=float).T)
+    est = {meth: np.empty((S.shape[0], cols.shape[0])) for meth in (NW, LL) if meth in methods}
+    fell_back = np.zeros(S.shape[0], dtype=bool)
+    for rows in weight_row_blocks(S.shape[0], X.shape[0]):
+        kw = KernelWeights(X, S[rows], b, leave_one_out, rows)
+        if NW in est:
+            est[NW][rows] = np.column_stack([kw.nw(y) for y in cols])
+        if LL in est:
+            est[LL][rows], fell_back[rows] = kw.ll(Y)
+        del kw  # so the next block's weights replace this block's
+    return est, fell_back
+
+
 def batch_estimate(
     method: str,
     design: Design,
@@ -258,11 +289,11 @@ def batch_estimate(
     """Evaluate one estimator at many points.
 
     This is the one evaluation path: the single-point functions are its
-    one-row calls.  NW and LL build the kernel weights one row block at a
-    time (see :func:`weight_row_blocks`), so a batch of any size holds at
-    most one block of them.  Per-point failures become NaN entries and are
-    appended to ``diagnostics`` (as ``(point index, message)`` pairs, the
-    index into the whole batch) rather than aborting the batch.  For GM the
+    one-row calls.  NW and LL are one :func:`kernel_estimates` call, so a
+    batch of any size holds at most one row block of kernel weights.
+    Per-point failures become NaN entries and are appended to
+    ``diagnostics`` (as ``(point index, message)`` pairs, the index into the
+    whole batch) rather than aborting the batch.  For GM the
     entries are ``(cell index, message)`` pairs instead, one per cell whose
     cubature missed its tolerance.
     """
@@ -281,15 +312,8 @@ def batch_estimate(
             )
         # numpy's own loop, not BLAS: a point's value does not depend on its batch
         return np.einsum("mn,n->m", W, design.responses)
-    out = np.empty(S.shape[0])
-    fell_back = np.zeros(S.shape[0], dtype=bool)
-    for rows in weight_row_blocks(S.shape[0], design.n):
-        kw = KernelWeights(design.points, S[rows], b)
-        if method == NW:
-            out[rows] = kw.nw(design.responses)
-        else:
-            out[rows], fell_back[rows] = kw.ll(design.responses)
-        del kw  # so the next block's weights replace this block's
+    est, fell_back = kernel_estimates(design.points, S, b, design.responses[:, None], [method])
+    out = est[method][:, 0]
     if diagnostics is not None:
         for i in np.nonzero(fell_back)[0]:
             diagnostics.append((int(i), "ll singular; nw fallback"))
@@ -364,5 +388,6 @@ __all__ = [
     "nw_estimate",
     "ll_estimate",
     "batch_estimate",
+    "kernel_estimates",
     "weight_row_blocks",
 ]

@@ -147,10 +147,14 @@ def log_dirichlet_density(alpha, beta: float, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def kernel_params(s, b: float) -> tuple[np.ndarray, float]:
-    """Dirichlet parameters ``(s/b + 1, s_{d+1}/b + 1)`` of the kernel at s."""
+def _check_bandwidth(b: float) -> None:
     if not (b > 0.0 and np.isfinite(b)):
         raise DomainError(f"bandwidth must be positive and finite, got {b}")
+
+
+def kernel_params(s, b: float) -> tuple[np.ndarray, float]:
+    """Dirichlet parameters ``(s/b + 1, s_{d+1}/b + 1)`` of the kernel at s."""
+    _check_bandwidth(b)
     s = validate_point(s)
     return s / b + 1.0, float(last_coordinate(s)) / b + 1.0
 
@@ -197,8 +201,7 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
     Points ``x_j`` on the simplex boundary get ``-inf`` where a positive
     exponent meets the zero coordinate, consistent with :func:`log_kappa`.
     """
-    if not (b > 0.0 and np.isfinite(b)):
-        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    _check_bandwidth(b)
     S = validate_points(eval_points)
     X = validate_points(x_points, dim=S.shape[1])
     S_full, norm = _centres(S, b)
@@ -223,8 +226,7 @@ def kappa_columns(eval_points, b: float):
     row of ones under the log coordinates, so a call is one
     ``(q, d + 2) @ (d + 2, len(cols))`` product and an ``exp`` in place.
     """
-    if not (b > 0.0 and np.isfinite(b)):
-        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    _check_bandwidth(b)
     S_full, norm = _centres(validate_points(eval_points), b)
     exponents = np.vstack([(S_full / b).T, norm])  # (d + 2, m)
     d = S_full.shape[1] - 1
@@ -283,8 +285,7 @@ def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
     :func:`_tangent_planes` (cached per cell), from one product per cell.
     ``cells`` holds vertex arrays; a NaN bound means none is known.
     """
-    if not (b > 0.0 and np.isfinite(b)):
-        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    _check_bandwidth(b)
     S_full, norm = _centres(validate_points(eval_points), b)
     centres = np.ascontiguousarray(S_full.T)
     m = centres.shape[1]
@@ -307,8 +308,7 @@ def global_bound(d: int, b: float) -> float:
     all center/evaluation pairs in ``S_d``."""
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    if not (b > 0.0 and np.isfinite(b)):
-        raise DomainError(f"bandwidth must be positive and finite, got {b}")
+    _check_bandwidth(b)
     return float(np.prod(1.0 / b + np.arange(1, d + 1)))
 
 

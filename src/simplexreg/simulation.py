@@ -30,16 +30,7 @@ from .asymptotics import TargetFunction, clt_standardize, uniform_profile
 from .bandwidth import BandwidthSearch, _mc_ise
 from .cubature import CubatureConfig
 from .errors import DegenerateIqrWarning, UnknownFunctionError
-from .estimators import (
-    GM,
-    LL,
-    METHODS,
-    NW,
-    Design,
-    KernelWeights,
-    gm_weight_matrix,
-    weight_row_blocks,
-)
+from .estimators import GM, LL, METHODS, NW, Design, gm_weight_matrix, kernel_estimates
 from .geometry import (
     mesh_design_points,
     uniform_simplex_sample,
@@ -241,12 +232,11 @@ def _rep_seeds(master: int, k: int, rep: int):
 def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
     """LSCV values on the shared grid for every (function, method) pair.
 
-    Per bandwidth, one GM weight matrix and one kernel-weight structure per
-    row block of the sample (one block at study sizes) serve all functions,
-    and one local linear solve takes the responses of every function as
-    columns.  Values agree bit-for-bit with
-    :func:`simplexreg.bandwidth.lscv`: the same solver and the same
-    criterion formula run underneath.
+    Per bandwidth, one GM weight matrix and one
+    :func:`~simplexreg.estimators.kernel_estimates` call serve all
+    functions, whose responses are the columns of one matrix.  Values agree
+    bit-for-bit with :func:`simplexreg.bandwidth.lscv`: the same estimators
+    and the same criterion formula run underneath.
     """
     grid = cfg.search.grid
     dim = points.shape[1]
@@ -261,21 +251,12 @@ def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
         ests = {}
         if GM in cfg.methods:
             gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
-            ests[GM] = [np.einsum("mn,n->m", gm_W, y) for y in ys]
-        for meth in (NW, LL):
-            if meth in cfg.methods:
-                ests[meth] = np.empty((len(ys), sample.shape[0]))
-        if NW in ests or LL in ests:
-            for rows in weight_row_blocks(sample.shape[0], points.shape[0]):
-                kw = KernelWeights(points, sample[rows], b)
-                if NW in ests:
-                    ests[NW][:, rows] = [kw.nw(y) for y in ys]
-                if LL in ests:
-                    ests[LL][:, rows] = kw.ll(Y)[0].T
-                del kw  # so the next block's weights replace this block's
-        for meth, per_function in ests.items():
-            for f, est in zip(cfg.functions, per_function):
-                out[(f, meth)][bi] = _mc_ise(est, truths[f], dim)
+            ests[GM] = np.column_stack([np.einsum("mn,n->m", gm_W, y) for y in ys])
+        if NW in cfg.methods or LL in cfg.methods:
+            ests.update(kernel_estimates(points, sample, b, Y, cfg.methods)[0])
+        for meth, est in ests.items():
+            for f, column in zip(cfg.functions, est.T):
+                out[(f, meth)][bi] = _mc_ise(column, truths[f], dim)
     return out
 
 

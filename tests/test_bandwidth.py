@@ -192,13 +192,10 @@ class TestLoocv:
         one_value = loocv_ll(design, b)
         assert one_fell_back.any() and not one_fell_back.all()
         force_blocks(monkeypatch, n, rows=8)
-        blocks = estimators.weight_row_blocks(n, n)
-        assert len(blocks) >= 3
-        for rows in blocks:
-            kw = KernelWeights(X, X[rows], b, leave_one_out=True, rows=rows)
-            est, fell_back = kw.ll(y)
-            assert np.array_equal(fell_back, one_fell_back[rows])
-            np.testing.assert_allclose(est, one[rows], rtol=1e-14)
+        assert len(estimators.weight_row_blocks(n, n)) >= 3
+        est, fell_back = estimators.kernel_estimates(X, X, b, y[:, None], ["LL"], True)
+        assert np.array_equal(fell_back, one_fell_back)
+        np.testing.assert_allclose(est["LL"][:, 0], one, rtol=1e-14)
         value = loocv_ll(design, b)
         assert value == pytest.approx(one_value, rel=1e-14)
 

@@ -363,6 +363,8 @@ class TestLlSolver:
     def test_leave_one_out_needs_the_design_as_points(self, mesh7):
         with pytest.raises(MismatchError):
             KernelWeights(mesh7, mesh7[:5], 0.1, leave_one_out=True)
+        with pytest.raises(MismatchError):
+            estimators.kernel_estimates(mesh7, mesh7[:5], 0.1, np.ones((28, 1)), ["LL"], True)
 
 
 class TestBatch:
@@ -487,6 +489,29 @@ class TestRowBlocks:
         assert any("vanished" in msg for _, msg in diags) == (case == "edges")
         assert any("fallback" in msg for _, msg in diags) == (method == "LL")
         assert_allclose(blocked, one, rtol=1e-14)
+
+    @pytest.mark.parametrize("case", ["mesh10", "edges", "leave_one_out"])
+    def test_blocked_columns_match_one_block_single_columns(self, mesh10, monkeypatch, case):
+        # at b = 2e-3 mesh10 mixes solved points with NW fallbacks; on the
+        # edge design interior points lose every weight
+        X, b = (edge_design(), 0.1) if case == "edges" else (mesh10, 2e-3)
+        loo = case == "leave_one_out"
+        S = X if loo else barycentric_grid(20)
+        Y = np.column_stack(
+            [np.sin(3 * X[:, 0]) + X[:, 1] ** 2, np.log1p(X.sum(axis=1)), X[:, 1] ** 3]
+        )
+        methods = ["NW", "LL"]
+        assert len(estimators.weight_row_blocks(S.shape[0], X.shape[0])) == 1
+        one = [estimators.kernel_estimates(X, S, b, Y[:, [c]], methods, loo) for c in range(3)]
+        force_blocks(monkeypatch, X.shape[0])
+        assert len(estimators.weight_row_blocks(S.shape[0], X.shape[0])) >= 3
+        est, fell_back = estimators.kernel_estimates(X, S, b, Y, methods, loo)
+        assert est["NW"].shape == est["LL"].shape == (S.shape[0], 3)
+        assert fell_back.any() and np.isnan(est["NW"]).any() == (case == "edges")
+        for c, (one_est, one_fell_back) in enumerate(one):
+            assert np.array_equal(fell_back, one_fell_back)
+            for meth in methods:
+                assert np.array_equal(est[meth][:, c], one_est[meth][:, 0], equal_nan=True)
 
 
 class TestEquivariance:

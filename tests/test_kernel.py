@@ -20,6 +20,7 @@ from simplexreg.cubature import _BARY, graded_simplex_roots
 from simplexreg.errors import DomainError, PoleError
 from simplexreg.kernel import (
     kappa_columns,
+    kernel_params,
     log_kappa_cell_bounds,
     validate_point,
     validate_points,
@@ -295,6 +296,28 @@ class TestValidation:
         clamped = np.clip(pts, 0.0, 1.0)
         kept = clamped.sum(axis=1) <= 1.0
         assert np.array_equal(once[kept], clamped[kept])
+
+    @pytest.mark.parametrize("b", [0.0, -0.1, np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda b: kernel_params([0.2, 0.3], b),
+            lambda b: log_kappa_matrix([[0.2, 0.3]], b, [[0.3, 0.3]]),
+            lambda b: kappa_columns([[0.2, 0.3]], b),
+            lambda b: log_kappa_cell_bounds([[0.2, 0.3]], b, [np.eye(3)[:, :2]]),
+            lambda b: global_bound(2, b),
+        ],
+        ids=[
+            "kernel_params",
+            "log_kappa_matrix",
+            "kappa_columns",
+            "log_kappa_cell_bounds",
+            "global_bound",
+        ],
+    )
+    def test_bandwidth_must_be_positive_and_finite(self, entry, b):
+        with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
+            entry(b)
 
     def test_log_kappa_matrix_matches_scalar_path(self):
         centers = random_interior_points(6, 3)
