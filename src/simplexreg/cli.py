@@ -163,9 +163,13 @@ def _cmd_estimate(args) -> int:
         raise _UsageError("provide --at or --eval-points")
     cfg = CubatureConfig(relative_tolerance=args.rtol)
     partition = voronoi_partition(design.points) if args.method == "GM" else None
+    missed = [] if partition is not None else None  # cells short of tolerance
     values = batch_estimate(
-        args.method, design, args.bandwidth, points, partition=partition, cfg=cfg
+        args.method, design, args.bandwidth, points, partition, cfg, missed
     )
+    if missed:
+        cells = f"{len(missed)} of {len(partition)} cells"
+        print(f"warning: cubature tolerance not reached in {cells}", file=sys.stderr)
     failed = int(np.isnan(values).sum())
     if failed == values.size:
         raise AllWeightsVanishedError(

@@ -8,10 +8,10 @@ Given design points ``x_1..x_n`` on the simplex with responses ``Y_1..Y_n``:
 * ``ll``: intercept of the kernel-weighted least-squares affine fit centered
   at the evaluation point.
 
-Kernel weights span hundreds of orders of magnitude for small bandwidths, so
-``nw``/``ll`` work from log-kernel values with per-row max subtraction, and
-``ll`` falls back to ``nw`` (with a flag) where the normal equations are
-numerically singular.  Everything is pure given immutable inputs.
+NW and LL are the degree-0 and degree-1 kernel-weighted least-squares fits
+of one moment contraction; a singular LL system keeps the NW value, flagged.
+Weights span hundreds of orders of magnitude, so they come from log-kernel
+values with per-row max subtraction.  All is pure given immutable inputs.
 :func:`batch_estimate` is the one evaluation path; the single-point
 functions are its one-row calls.  Every NW and LL value, LOOCV and the
 study included, comes from :func:`kernel_estimates`, which builds the
@@ -177,60 +177,62 @@ class KernelWeights:
         # in place, so only one m x n array is alive at a time
         logw -= np.where(self.dead, 0.0, top)[:, None]
         self.w = np.exp(logw, out=logw)
-        self.den = self.w.sum(axis=1)
 
     def nw(self, responses: np.ndarray) -> np.ndarray:
-        """Kernel-weighted averages; NaN where all weights vanished."""
-        # numpy's own loop, not BLAS: a point's value does not depend on its batch
-        out = np.einsum("mn,n->m", self.w, responses) / np.where(self.dead, 1.0, self.den)
-        out[self.dead] = np.nan
-        return out
+        """Kernel-weighted averages, the degree-0 fits of :meth:`_fits`."""
+        return self._fits(responses, 0)[0]
 
     def ll(self, responses: np.ndarray):
-        """Intercepts of the weighted affine fits, with NW fallback flags.
-
-        ``responses`` has shape ``(n,)`` or ``(n, r)``; the estimates have
-        shape ``(m,)`` or ``(m, r)`` and the flags ``(m,)``.  The fits come
-        from weighted moments: one contraction of the weight rows with the
-        design columns ``z z^T`` and ``y z`` (``z = [1, x]``) gives each
-        point's uncentred normal matrix ``R`` and right-hand sides ``r``,
-        and centring them at the evaluation point ``s`` gives
-        ``A = T R T^T`` and ``T r`` with ``T = [[1, 0], [-s, I]]``.  A flag
-        marks a point whose ``A`` is singular within ``LL_RCOND``, where the
-        NW value is substituted.  NaN marks points where every weight
-        vanished.  The contraction is numpy's own loop, not BLAS, so a
-        point's values do not depend on the other points of the call.
-        """
+        """Local linear estimates, the degree-1 fits of :meth:`_fits`, and their flags."""
         n, d = self.X.shape
         need = d + 2 if self.leave_one_out else d + 1
         if n < need:
             raise InsufficientDataError(f"local linear fit needs n >= {need}, got {n}")
+        return self._fits(responses, 1)
+
+    def _fits(self, responses, degree: int):
+        """Weighted least-squares fits of degree 0 (``z = [1]``) or 1
+        (``z = [1, x]``) to ``(n,)`` or ``(n, r)`` responses: ``(m,)`` or
+        ``(m, r)`` values, NaN where every weight vanished, and the ``(m,)``
+        flags of the degree-1 points that kept the NW value.
+
+        One contraction of the weight rows with the design columns ``z z^T``
+        and ``y z`` (numpy's own loop, not BLAS, so a point's values do not
+        depend on its batch) gives each point's normal matrix ``R`` and
+        right-hand sides ``r``; the NW value is ``r_0 / R_00``.  Degree 1
+        centres them at the evaluation point ``s`` (``A = T R T^T``, ``T r``,
+        ``T = [[1, 0], [-s, I]]``) and flags the points whose ``A`` is
+        singular within ``LL_RCOND``.
+        """
+        n = self.X.shape[0]
         Y = np.asarray(responses, dtype=float)
         if Y.ndim not in (1, 2) or Y.shape[0] != n:
             raise MismatchError(f"responses of shape {Y.shape} for {n} design points")
         cols = Y.reshape(n, -1).T
         m, r = self.S.shape[0], cols.shape[0]
-        z = np.vstack([np.ones(n), self.X.T])
-        j, k = np.triu_indices(d + 1)
+        z = np.vstack([np.ones(n), self.X.T][: degree + 1])
+        j, k = np.triu_indices(len(z))
         P = np.vstack([z[j] * z[k], *(y * z for y in cols)])
         M = np.einsum("mn,kn->mk", self.w, P)
-        A = np.empty((m, d + 1, d + 1))
+        A = np.empty((m, len(z), len(z)))
         A[:, j, k] = A[:, k, j] = M[:, : j.size]
-        rhs = M[:, j.size :].reshape(m, r, d + 1)
-        # T R, then (T R) T^T, then T r; row and column 0 stay as they are
-        A[:, 1:, :] -= self.S[:, :, None] * A[:, None, 0, :]
-        A[:, :, 1:] -= A[:, :, :1] * self.S[:, None, :]
-        rhs[:, :, 1:] -= rhs[:, :, :1] * self.S[:, None, :]
-        svals = np.linalg.svd(A, compute_uv=False)
-        singular = svals[:, -1] <= LL_RCOND * svals[:, 0]
-        singular |= ~np.isfinite(svals).all(axis=1)
-        good, fb = ~self.dead & ~singular, ~self.dead & singular
+        rhs = M[:, j.size :].reshape(m, r, len(z))
+        nw = ~self.dead  # the points that take the NW value r_0 / R_00
         est = np.full((m, r), np.nan)
-        for c in range(r):
-            est[good, c] = np.linalg.solve(A[good], rhs[good, c, :, None])[:, 0, 0]
-            # the first normal equation alone is the NW average
-            est[fb, c] = rhs[fb, c, 0] / A[fb, 0, 0]
-        return (est[:, 0] if Y.ndim == 1 else est), fb
+        if degree:
+            # T R, then (T R) T^T, then T r; row and column 0 stay as they are
+            A[:, 1:, :] -= self.S[:, :, None] * A[:, None, 0, :]
+            A[:, :, 1:] -= A[:, :, :1] * self.S[:, None, :]
+            rhs[:, :, 1:] -= rhs[:, :, :1] * self.S[:, None, :]
+            svals = np.linalg.svd(A, compute_uv=False)
+            singular = svals[:, -1] <= LL_RCOND * svals[:, 0]
+            singular |= ~np.isfinite(svals).all(axis=1)
+            good, nw = nw & ~singular, nw & singular
+            for c in range(r):
+                est[good, c] = np.linalg.solve(A[good], rhs[good, c, :, None])[:, 0, 0]
+        # the first normal equation alone is the NW average
+        est[nw] = rhs[nw, :, 0] / A[nw, 0, :1]
+        return (est[:, 0] if Y.ndim == 1 else est), nw & (degree > 0)
 
 
 def weight_row_blocks(m: int, n: int) -> list[slice]:
@@ -252,25 +254,24 @@ def kernel_estimates(x_points, eval_points, b: float, Y, methods, leave_one_out=
     """NW and/or LL estimates of the ``(n, r)`` response columns ``Y``.
 
     Returns ``(estimates, fell_back)``: ``estimates`` maps each of NW and LL
-    in ``methods`` to its ``(m, r)`` values (NaN where every weight
-    vanished), and ``fell_back`` flags the ``(m,)`` points where LL took
-    the NW value.  With ``leave_one_out=True`` the evaluation points are the
-    design points, each row leaving its own observation out.  This is the
-    one loop over :func:`weight_row_blocks`: each block's
+    in ``methods`` to its ``(m, r)`` degree-0 or degree-1 fits (NaN where
+    every weight vanished), and ``fell_back`` flags the ``(m,)`` points where
+    LL kept the NW value.  With ``leave_one_out=True`` the evaluation points
+    are the design points, each row leaving its own observation out.  This
+    is the one loop over :func:`weight_row_blocks`: each block's
     :class:`KernelWeights` is freed before the next is built.
     """
     X = validate_points(x_points)
     S = validate_points(eval_points, dim=X.shape[1])
     if leave_one_out and S.shape[0] != X.shape[0]:
         raise MismatchError("leave-one-out estimates need the design as points")
-    # NW reads contiguous columns: einsum over a strided one rounds differently
-    cols = np.ascontiguousarray(np.asarray(Y, dtype=float).T)
-    est = {meth: np.empty((S.shape[0], cols.shape[0])) for meth in (NW, LL) if meth in methods}
+    Y = np.asarray(Y, dtype=float)
+    est = {meth: np.empty((S.shape[0], Y.shape[1])) for meth in (NW, LL) if meth in methods}
     fell_back = np.zeros(S.shape[0], dtype=bool)
     for rows in weight_row_blocks(S.shape[0], X.shape[0]):
         kw = KernelWeights(X, S[rows], b, leave_one_out, rows)
         if NW in est:
-            est[NW][rows] = np.column_stack([kw.nw(y) for y in cols])
+            est[NW][rows] = kw.nw(Y)
         if LL in est:
             est[LL][rows], fell_back[rows] = kw.ll(Y)
         del kw  # so the next block's weights replace this block's

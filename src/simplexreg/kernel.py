@@ -23,10 +23,10 @@ from .errors import DomainError, PoleError
 POINT_TOL = 1e-12
 
 
-def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
+def validate_points(points, dim: int | None = None) -> np.ndarray:
     """Validate an (n, d) array of barycentric coordinates and clamp float noise.
 
-    Coordinates within ``tol`` of the valid range are clamped to [0, 1],
+    Coordinates within ``POINT_TOL`` of the valid range are clamped to [0, 1],
     and a row whose clamped sum still exceeds 1 is divided by its sum until
     it does not; anything farther out raises :class:`DomainError` (user
     error, not rounding).  Each row is validated on its own, so a row gives
@@ -52,11 +52,11 @@ def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> n
     if not np.all(np.isfinite(pts)):
         raise DomainError("point has non-finite coordinates")
     low = pts.min(initial=np.inf)
-    if low < -tol:
-        negative = np.any(pts < -tol, axis=1)
+    if low < -POINT_TOL:
+        negative = np.any(pts < -POINT_TOL, axis=1)
         raise DomainError(f"negative coordinate beyond tolerance: {pts[negative][0]}")
     sums = pts.sum(axis=1)
-    if np.any(sums > 1.0 + tol):
+    if np.any(sums > 1.0 + POINT_TOL):
         raise DomainError(f"coordinate sum {sums.max()} exceeds 1 beyond tolerance")
     # whole-array extremes first: row reductions over a few columns are
     # slow, and points already in [0, 1] (a design validated before, met
@@ -76,12 +76,12 @@ def validate_points(points, dim: int | None = None, tol: float = POINT_TOL) -> n
     return pts
 
 
-def validate_point(x, dim: int | None = None, tol: float = POINT_TOL) -> np.ndarray:
+def validate_point(x, dim: int | None = None) -> np.ndarray:
     """:func:`validate_points` for a single point of shape (d,)."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
         raise DomainError(f"expected a single point, got shape {p.shape}")
-    return validate_points(p[None, :], dim, tol)[0]
+    return validate_points(p[None, :], dim)[0]
 
 
 def last_coordinate(x) -> np.ndarray | float:

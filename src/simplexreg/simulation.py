@@ -310,24 +310,18 @@ def run_study(cfg: StudyConfig) -> list[StudyResult]:
             for meth in cfg.methods:
                 vals = np.array(ise[(f, meth)], dtype=float) * 1e7
                 nfail = failures[(f, meth)]
-                if vals.size == 0:
-                    rows.append(
-                        StudyResult(
-                            f, n, meth, math.nan, math.nan, math.nan, math.nan,
-                            0, nfail, elapsed, valid=False,
-                        )
+                stats = (math.nan,) * 4  # mean, sd, median, iqr of no values
+                if vals.size:
+                    q75, q25 = np.percentile(vals, [75.0, 25.0])
+                    stats = (
+                        float(vals.mean()),
+                        float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+                        float(np.median(vals)),
+                        float(q75 - q25),
                     )
-                    continue
-                q75, q25 = np.percentile(vals, [75.0, 25.0])
                 rows.append(
                     StudyResult(
-                        function=f,
-                        n=n,
-                        method=meth,
-                        mean=float(vals.mean()),
-                        sd=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                        median=float(np.median(vals)),
-                        iqr=float(q75 - q25),
+                        f, n, meth, *stats,
                         replications=int(vals.size),
                         failures=nfail,
                         elapsed_seconds=elapsed,

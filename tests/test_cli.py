@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from simplexreg import estimators
 from simplexreg.cli import cli_main
 
 from conftest import random_interior_points
@@ -74,6 +75,26 @@ class TestEstimate:
         assert lines[0] == "s1,s2,estimate"
         assert len(lines) == 18
         assert all(np.isfinite(float(line.split(",")[2])) for line in lines[1:])
+
+    def test_gm_reports_cells_short_of_tolerance(self, tmp_path, capsys, monkeypatch):
+        design = make_design_csv(tmp_path / "design.csv")
+        args = (
+            "estimate", "--method", "GM", "--design", str(design),
+            "--bandwidth", "0.1", "--at", "0.3,0.3",
+        )
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        real = estimators.gm_weight_matrix
+
+        def three_cells_missed(partition, b, pts, cfg=None):
+            W, conv = real(partition, b, pts, cfg)
+            conv[[0, 5, 9]] = False
+            return W, conv
+
+        monkeypatch.setattr(estimators, "gm_weight_matrix", three_cells_missed)
+        code, out_missed, err = run_cli(capsys, *args)
+        assert code == 0 and out_missed == out
+        assert err == "warning: cubature tolerance not reached in 3 of 28 cells\n"
 
     def test_missing_point_spec_is_usage_error(self, tmp_path, capsys):
         design = make_design_csv(tmp_path / "design.csv")

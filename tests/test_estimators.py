@@ -18,7 +18,7 @@ from simplexreg import (
     uniform_simplex_sample,
     voronoi_partition,
 )
-from simplexreg import estimators
+from simplexreg import estimators, generate_responses, target_function
 from simplexreg.app import barycentric_grid
 from simplexreg.bandwidth import default_grid
 from simplexreg.errors import (
@@ -230,7 +230,7 @@ class TestLl:
         est, fell_back = kw.ll(design.responses)
         assert fell_back[0]
         nw = kw.nw(design.responses)
-        assert est[0] == pytest.approx(nw[0], rel=1e-12)
+        assert est[0] == nw[0]
         diags = []
         assert ll_estimate(design, 5e-4, [0.9, 0.05], diags) == est[0]
         assert diags == [(0, "ll singular; nw fallback")]
@@ -269,7 +269,7 @@ def tensor_ll(kw, y):
 def row_slice(kw, rows):
     """The same kernel weights restricted to some evaluation points."""
     part = copy.copy(kw)
-    part.S, part.w, part.dead, part.den = kw.S[rows], kw.w[rows], kw.dead[rows], kw.den[rows]
+    part.S, part.w, part.dead = kw.S[rows], kw.w[rows], kw.dead[rows]
     return part
 
 
@@ -333,11 +333,27 @@ class TestLlSolver:
         )
         kw = KernelWeights(mesh10, barycentric_grid(20), 2e-3)
         est, fell_back = kw.ll(Y)
-        assert est.shape == (231, 3) and fell_back.shape == (231,)
+        nw = kw.nw(Y)
+        assert est.shape == nw.shape == (231, 3) and fell_back.shape == (231,)
         for c in range(3):
             est_c, fell_back_c = kw.ll(Y[:, c])
             assert np.array_equal(est[:, c], est_c, equal_nan=True)
             assert np.array_equal(fell_back, fell_back_c)
+            assert np.array_equal(nw[:, c], kw.nw(Y[:, c]), equal_nan=True)
+
+    @pytest.mark.parametrize("b", [1e-3, 2e-3, 5e-3])
+    def test_fallback_values_are_the_nw_values(self, mesh10, b):
+        Y = np.column_stack(
+            [
+                generate_responses(target_function(f), mesh10, 3).responses
+                for f in ("m1", "m2", "m4")
+            ]
+        )
+        kw = KernelWeights(mesh10, barycentric_grid(60), b)
+        est, fell_back = kw.ll(Y)
+        assert fell_back.sum() > 100
+        for c in range(3):
+            assert np.array_equal(est[fell_back, c], kw.nw(Y[:, c])[fell_back])
 
     def test_memory_stays_bounded_on_a_large_grid(self):
         X = random_interior_points(1000, 5)
@@ -359,6 +375,8 @@ class TestLlSolver:
         for bad in (np.ones(56), np.ones((14, 2)), np.ones((28, 2, 1))):
             with pytest.raises(MismatchError):
                 kw.ll(bad)
+            with pytest.raises(MismatchError):
+                kw.nw(bad)
 
     def test_leave_one_out_needs_the_design_as_points(self, mesh7):
         with pytest.raises(MismatchError):

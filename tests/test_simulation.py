@@ -17,6 +17,7 @@ from simplexreg.errors import (
     DegenerateIqrWarning,
     UnknownFunctionError,
 )
+from simplexreg import simulation
 from simplexreg.estimators import gm_weight_matrix
 from simplexreg.simulation import _grid_criterion_values, _ks_normal_statistic, noise_sd
 from simplexreg.asymptotics import TargetFunction, bias_g
@@ -138,6 +139,27 @@ class TestRunStudy:
             assert r.failures == 0
             assert r.valid
             assert r.sd >= 0.0 and r.iqr >= 0.0
+
+    def test_failed_replications_are_counted(self, monkeypatch):
+        # m1/NW fails in both replications, m1/LL in the first only
+        real = simulation._grid_criterion_values
+        calls = []
+
+        def failing(cfg, *args):
+            values = real(cfg, *args)
+            values[("m1", "NW")][:] = np.inf
+            if not calls:
+                values[("m1", "LL")][:] = np.nan
+            calls.append(1)
+            return values
+
+        monkeypatch.setattr(simulation, "_grid_criterion_values", failing)
+        cfg = self.small_config(functions=("m1",), methods=("NW", "LL"))
+        nw, ll = run_study(cfg)
+        assert (nw.replications, nw.failures, nw.valid) == (0, 2, False)
+        assert all(np.isnan([nw.mean, nw.sd, nw.median, nw.iqr]))
+        assert (ll.replications, ll.failures, ll.valid) == (1, 1, False)
+        assert ll.sd == 0.0 and ll.iqr == 0.0 and ll.median == ll.mean > 0.0
 
     def test_scaled_reporting_times_1e7(self, mesh7):
         # with R=1 the row mean equals the raw selected-bandwidth ISE x 1e7

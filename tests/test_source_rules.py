@@ -1,0 +1,60 @@
+"""Rules the library source keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "simplexreg").glob("*.py"))
+BROAD = {"Exception", "BaseException"}
+
+
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id in BROAD for t in types)
+
+
+def _reraises(handler: ast.ExceptHandler) -> bool:
+    """A bare ``raise``, or ``raise`` of the caught name, in the handler."""
+    return any(
+        isinstance(node, ast.Raise)
+        and (
+            node.exc is None
+            or (isinstance(node.exc, ast.Name) and node.exc.id == handler.name)
+        )
+        for stmt in handler.body
+        for node in ast.walk(stmt)
+    )
+
+
+def test_sources_found():
+    assert len(SOURCES) > 5
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_broad_except_hides_an_error(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hidden = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and _is_broad(node) and not _reraises(node)
+    ]
+    assert hidden == [], f"{path.name}: broad except without re-raise at lines {hidden}"
+
+
+@pytest.mark.parametrize(
+    "source, hides",
+    [
+        ("try:\n    f()\nexcept:\n    pass\n", True),
+        ("try:\n    f()\nexcept Exception:\n    log()\n", True),
+        ("try:\n    f()\nexcept (ValueError, BaseException) as e:\n    log(e)\n", True),
+        ("try:\n    f()\nexcept BaseException:\n    clean()\n    raise\n", False),
+        ("try:\n    f()\nexcept Exception as e:\n    raise e\n", False),
+        ("try:\n    f()\nexcept ValueError:\n    pass\n", False),
+    ],
+)
+def test_rule_sees_broad_handlers(source, hides):
+    (handler,) = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ExceptHandler)]
+    assert (_is_broad(handler) and not _reraises(handler)) == hides
