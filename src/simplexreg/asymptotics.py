@@ -18,9 +18,7 @@ All functions here are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -218,10 +216,12 @@ def psi_J(s, J=()) -> float | np.ndarray:
         )
     base = (4.0 * np.pi) ** (d - len(J)) * prod
     # numpy's vectorized power may take a SIMD path whose last bit differs
-    # from libm pow; libm pow per element keeps every entry equal to the
-    # single-point value, and the iterator builds no intermediate list.
-    vals = np.fromiter(map(math.pow, base, repeat(-0.5)), dtype=float, count=base.size)
-    return float(vals[0]) if single else vals
+    # from the scalar one.  Square root and division are correctly rounded
+    # on every path, so each batch entry equals the single-point value bit
+    # for bit.  Both overwrite base, a temporary, so they add no array.
+    np.sqrt(base, out=base)
+    np.divide(1.0, base, out=base)
+    return float(base[0]) if single else base
 
 
 def _gamma_shrink_factor(lam: float) -> float:

@@ -125,6 +125,20 @@ class TestGm:
         assert np.array_equal(W_perm == 0.0, W[perm] == 0.0)
         assert_allclose(W_perm, W[perm], rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("b", [0.005, 0.05, 0.3])
+    @pytest.mark.parametrize(
+        "sites", [mesh_design_points(7), uniform_simplex_sample(30, 7)], ids=["mesh7", "unif30"]
+    )
+    def test_columns_follow_a_permutation_of_the_sites(self, sites, b):
+        # the partition does not depend on the order of the sites, and each
+        # cell is integrated on its own, so the columns keep their bits
+        S = np.vstack([uniform_simplex_sample(60, 4), [[0.0, 0.0], [0.5, 0.5], [0.2, 0.0]]])
+        perm = np.random.default_rng(5).permutation(len(sites))
+        W, converged = gm_weight_matrix(voronoi_partition(sites), b, S)
+        W_perm, converged_perm = gm_weight_matrix(voronoi_partition(sites[perm]), b, S)
+        assert np.array_equal(W_perm, W[:, perm])
+        assert np.array_equal(converged_perm, converged[perm])
+
     def test_diagnostics_index_cells(self, mesh7, partition7):
         # too shallow a cubature for a peaked kernel: the entries name the
         # cells that missed their tolerance, for a batch and for one point
