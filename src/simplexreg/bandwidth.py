@@ -3,12 +3,12 @@
 Two criteria are provided: a Monte Carlo least-squares criterion against a
 known target (the simulation-study selector) and leave-one-out
 cross-validation for the local linear smoother on real data.  The latter
-is one :func:`~simplexreg.estimators.kernel_estimates` call, the LL
-evaluation of grids and the study, with each point's own weight removed
-(``leave_one_out=True``).  Both criteria
-can be multimodal, so the minimizer evaluates a log-spaced grid first and
-only then refines the best bracket by golden section; the full evaluation
-trace is returned for plotting.
+runs the LL evaluation of grids and the study,
+:func:`~simplexreg.estimators.kernel_estimates`, with each point's own
+weight removed (``leave_one_out=True``), over a whole search grid in one
+call.  Both criteria can be multimodal, so the minimizer evaluates a
+log-spaced grid first and only then refines the best bracket by golden
+section; the full evaluation trace is returned for plotting.
 """
 
 from __future__ import annotations
@@ -157,12 +157,18 @@ def loocv_ll(design: Design, b: float) -> float:
     normal equations and the log-weight rescaling, and a singular system
     falls back to the leave-one-out kernel average.
     """
+    return _loocv_values(design, [b])[0]
+
+
+def _loocv_values(design: Design, bandwidths) -> list[float]:
+    """:func:`loocv_ll` at each of a 1-D sequence of bandwidths, from one
+    :func:`kernel_estimates` call."""
     X, y = design.points, design.responses
-    est, _ = kernel_estimates(X, X, b, y[:, None], [LL], leave_one_out=True)
-    preds = est[LL][:, 0]
-    if np.any(np.isnan(preds)):
-        return float("inf")
-    return float(np.mean((y - preds) ** 2))
+    est, _ = kernel_estimates(X, X, bandwidths, y[:, None], [LL], leave_one_out=True)
+    return [
+        float("inf") if np.any(np.isnan(preds)) else float(np.mean((y - preds) ** 2))
+        for preds in est[LL][:, :, 0]
+    ]
 
 
 def select_lscv(
@@ -184,8 +190,18 @@ def select_lscv(
 
 
 def select_loocv_ll(design: Design, search: BandwidthSearch | None = None) -> BandwidthResult:
-    """Minimize the leave-one-out criterion for the local linear smoother."""
-    return minimize_bandwidth(lambda b: loocv_ll(design, b), search)
+    """Minimize the leave-one-out criterion for the local linear smoother.
+
+    The whole grid is one :func:`kernel_estimates` call, so each row
+    block's bandwidth-free log-kernel serves every grid bandwidth; the
+    golden-section probes are :func:`loocv_ll` calls.  Every value equals
+    :func:`loocv_ll` at its bandwidth bit for bit.
+    """
+    search = search or BandwidthSearch()
+    on_grid = dict(zip(search.grid.tolist(), _loocv_values(design, search.grid)))
+    return minimize_bandwidth(
+        lambda b: on_grid[b] if b in on_grid else loocv_ll(design, b), search
+    )
 
 
 __all__ = [

@@ -11,12 +11,14 @@ Given design points ``x_1..x_n`` on the simplex with responses ``Y_1..Y_n``:
 NW and LL are the degree-0 and degree-1 kernel-weighted least-squares fits
 of one moment contraction; a singular LL system keeps the NW value, flagged.
 Weights span hundreds of orders of magnitude, so they come from log-kernel
-values with per-row max subtraction.  All is pure given immutable inputs.
+values with per-row max subtraction, which cancels the kernel's
+normalisation: the weight at bandwidth b is ``exp(D / b)`` for one
+bandwidth-free ``D``.  All is pure given immutable inputs.
 :func:`batch_estimate` is the one evaluation path; the single-point
 functions are its one-row calls.  Every NW and LL value, LOOCV and the
-study included, comes from :func:`kernel_estimates`, which builds the
-kernel weights one row block at a time, so memory stays bounded however
-many points a call holds.
+study included, comes from :func:`kernel_estimates`, which builds ``D``
+one row block at a time and serves every bandwidth of a call from it, so
+memory stays bounded however many points and bandwidths a call holds.
 """
 
 from __future__ import annotations
@@ -28,24 +30,27 @@ import numpy as np
 from .cubature import CubatureConfig, integrate_polygon_batch, negligible_components
 from .errors import (
     AllWeightsVanishedError,
+    DomainError,
     InsufficientDataError,
     MismatchError,
 )
 from .geometry import SimplexPartition
 from .kernel import (
+    _check_bandwidth,
+    _log_kernel_products,
     kappa_columns,
     log_kappa_cell_bounds,
-    log_kappa_matrix,
     validate_points,
 )
 
 LL_RCOND = 1e-10
-# Bytes of one row block of NW/LL kernel weights: no call holds more than
-# one block of the m x n matrix.  A block costs about 0.6 ms of fixed work at
-# n = 990 on a 2-vCPU x86 host (under 0.2 ms design-side: validation, logs,
-# LL moment columns; the rest SVD/solve and numpy call overhead), so 2 MiB
-# blocks, the L2 size, cost `fit` 17% more CPU than one whole-matrix call
-# and these 4%, for 3 MiB more peak RSS.
+# Bytes of one row block's bandwidth-free log-kernel and one bandwidth's
+# weights together (``weight_row_blocks(m, 2 * n)``): no NW/LL call holds
+# more of its m x n matrices.  Each (block, bandwidth) pair pays fixed numpy
+# work (moment columns, contraction set-up, the small tests and solves): on
+# a 2-vCPU x86 host, `fit` at n = 990 took 0.66-0.92 CPU s per command with
+# this budget, 1.02-1.26 s with 2 MiB and 0.74-1.04 s with one block per
+# call (two interleaved rounds of five commands each).
 WEIGHT_BLOCK_BYTES = 4 * 2**20
 
 GM = "GM"
@@ -145,38 +150,56 @@ def _columns_of(f_batch, keep: np.ndarray):
 
 
 class KernelWeights:
-    """Kernel weights of one (design points, evaluation points, bandwidth)
-    triple, shared by NW and LL evaluation.
+    """Kernel weights of design points against evaluation points at one
+    bandwidth ``b`` or at each of a 1-D sequence of them, shared by NW and
+    LL evaluation.
 
-    Holds the stabilized kernel weight rows, which do not depend on the
-    responses.  With ``leave_one_out=True`` the evaluation points are the
-    design points ``rows`` (a slice, all of them by default) and each
-    point's own weight is removed before the row rescaling, so the row of
-    design point i is the fit without observation i.
+    The row-max rescaling cancels the kernel's normalisation, so the
+    stabilized weight at bandwidth b is ``exp(D / b)`` with the
+    bandwidth-free ``D = G - rowmax(G)``, ``G[i, j] = sum_l s_il log x_jl``
+    over full coordinates.  ``w`` holds the weights at the bandwidth last
+    selected by :meth:`at`, the first one from construction; with one
+    bandwidth they overwrite D, with several they share one buffer.  With
+    ``leave_one_out=True`` the evaluation points are the design points
+    ``rows`` (a slice, all of them by default) and each point's own weight
+    is removed before the row rescaling, so the row of design point i is the
+    fit without observation i.
     """
 
     def __init__(
         self,
         x_points,
         eval_points,
-        b: float,
+        b,
         leave_one_out: bool = False,
         rows: slice = slice(None),
     ):
         self.X = validate_points(x_points)
         self.S = validate_points(eval_points, dim=self.X.shape[1])
         self.leave_one_out = leave_one_out
-        logw = log_kappa_matrix(self.S, b, self.X)
+        self.bandwidths = _bandwidths(b)
+        D = _log_kernel_products(self.S, self.X)
         if leave_one_out:
             held_out = np.arange(self.X.shape[0])[rows]
             if self.S.shape[0] != held_out.size:
                 raise MismatchError("leave-one-out weights need the design as points")
-            logw[np.arange(held_out.size), held_out] = -np.inf
-        top = logw.max(axis=1)
+            D[np.arange(held_out.size), held_out] = -np.inf
+        top = D.max(axis=1)
         self.dead = np.isneginf(top)
-        # in place, so only one m x n array is alive at a time
-        logw -= np.where(self.dead, 0.0, top)[:, None]
-        self.w = np.exp(logw, out=logw)
+        # in place, so D and the weights are the only m x n arrays alive
+        D -= np.where(self.dead, 0.0, top)[:, None]
+        self._D = D
+        self.w = D if self.bandwidths.size == 1 else np.empty_like(D)
+        self._at = None
+        self.at(0)
+
+    def at(self, i: int) -> KernelWeights:
+        """These weights at bandwidth ``bandwidths[i]``: ``w = exp(D / b)``."""
+        if i != self._at:
+            np.divide(self._D, self.bandwidths[i], out=self.w)
+            np.exp(self.w, out=self.w)
+            self._at = i
+        return self
 
     def nw(self, responses: np.ndarray) -> np.ndarray:
         """Kernel-weighted averages, the degree-0 fits of :meth:`_fits`."""
@@ -202,7 +225,7 @@ class KernelWeights:
         right-hand sides ``r``; the NW value is ``r_0 / R_00``.  Degree 1
         centres them at the evaluation point ``s`` (``A = T R T^T``, ``T r``,
         ``T = [[1, 0], [-s, I]]``) and flags the points whose ``A`` is
-        singular within ``LL_RCOND``.
+        singular within ``LL_RCOND`` (:func:`_singular`).
         """
         n = self.X.shape[0]
         Y = np.asarray(responses, dtype=float)
@@ -224,15 +247,51 @@ class KernelWeights:
             A[:, 1:, :] -= self.S[:, :, None] * A[:, None, 0, :]
             A[:, :, 1:] -= A[:, :, :1] * self.S[:, None, :]
             rhs[:, :, 1:] -= rhs[:, :, :1] * self.S[:, None, :]
-            svals = np.linalg.svd(A, compute_uv=False)
-            singular = svals[:, -1] <= LL_RCOND * svals[:, 0]
-            singular |= ~np.isfinite(svals).all(axis=1)
+            singular = _singular(A)
             good, nw = nw & ~singular, nw & singular
             for c in range(r):
                 est[good, c] = np.linalg.solve(A[good], rhs[good, c, :, None])[:, 0, 0]
         # the first normal equation alone is the NW average
         est[nw] = rhs[nw, :, 0] / A[nw, 0, :1]
         return (est[:, 0] if Y.ndim == 1 else est), nw & (degree > 0)
+
+
+def _bandwidths(b) -> np.ndarray:
+    """One bandwidth or a 1-D sequence of them as a validated 1-D array."""
+    bs = np.atleast_1d(np.asarray(b, dtype=float))
+    if bs.ndim != 1 or bs.size == 0:
+        raise DomainError(f"expected a bandwidth or a 1-D sequence, got shape {bs.shape}")
+    for value in bs:
+        _check_bandwidth(value)
+    return bs
+
+
+def _clearly_regular(A: np.ndarray) -> np.ndarray:
+    """Flags of the symmetric positive semidefinite ``(m, k, k)`` matrices
+    ``A`` that are certainly not singular within ``LL_RCOND``.
+
+    ``det A <= lambda_min lambda_max^(k-1)`` and ``tr A >= lambda_max``, so
+    ``det A > 2 LL_RCOND (tr A)^k`` gives ``lambda_min > 2 LL_RCOND
+    lambda_max``; the factor 2 leaves room for rounding.
+    """
+    scale = np.trace(A, axis1=1, axis2=2) ** A.shape[-1]
+    with np.errstate(invalid="ignore"):
+        return np.linalg.det(A) > 2.0 * LL_RCOND * scale
+
+
+def _singular(A: np.ndarray) -> np.ndarray:
+    """Flags of the symmetric positive semidefinite ``(m, k, k)`` matrices
+    ``A`` that are singular within ``LL_RCOND``: ``min|lambda| <= LL_RCOND
+    max|lambda|`` (their eigenvalues are their singular values), or not
+    finite.  Only the matrices :func:`_clearly_regular` does not clear go
+    to ``eigvalsh``.
+    """
+    singular = ~_clearly_regular(A)
+    rest = np.flatnonzero(singular & np.isfinite(A).all(axis=(1, 2)))
+    if rest.size:
+        ev = np.abs(np.linalg.eigvalsh(A[rest]))
+        singular[rest] = ev.min(axis=1) <= LL_RCOND * ev.max(axis=1)
+    return singular
 
 
 def weight_row_blocks(m: int, n: int) -> list[slice]:
@@ -250,31 +309,44 @@ def weight_row_blocks(m: int, n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def kernel_estimates(x_points, eval_points, b: float, Y, methods, leave_one_out=False):
-    """NW and/or LL estimates of the ``(n, r)`` response columns ``Y``.
+def kernel_estimates(x_points, eval_points, b, Y, methods, leave_one_out=False):
+    """NW and/or LL estimates of the ``(n, r)`` response columns ``Y`` at a
+    bandwidth ``b`` or at each of a 1-D sequence of bandwidths.
 
     Returns ``(estimates, fell_back)``: ``estimates`` maps each of NW and LL
     in ``methods`` to its ``(m, r)`` degree-0 or degree-1 fits (NaN where
     every weight vanished), and ``fell_back`` flags the ``(m,)`` points where
-    LL kept the NW value.  With ``leave_one_out=True`` the evaluation points
-    are the design points, each row leaving its own observation out.  This
-    is the one loop over :func:`weight_row_blocks`: each block's
-    :class:`KernelWeights` is freed before the next is built.
+    LL kept the NW value; a sequence of bandwidths adds a leading bandwidth
+    axis to both.  With ``leave_one_out=True`` the evaluation points are the
+    design points, each row leaving its own observation out.
+
+    This is the one loop over :func:`weight_row_blocks`: each block's
+    bandwidth-free :class:`KernelWeights` serves every bandwidth and is
+    freed before the next is built.  Blocks are sized for D and one
+    bandwidth's weights, whatever the number of bandwidths, so a value at a
+    bandwidth of a sequence is bit for bit the value of a call at that
+    bandwidth alone.
     """
     X = validate_points(x_points)
     S = validate_points(eval_points, dim=X.shape[1])
     if leave_one_out and S.shape[0] != X.shape[0]:
         raise MismatchError("leave-one-out estimates need the design as points")
+    bs = _bandwidths(b)
     Y = np.asarray(Y, dtype=float)
-    est = {meth: np.empty((S.shape[0], Y.shape[1])) for meth in (NW, LL) if meth in methods}
-    fell_back = np.zeros(S.shape[0], dtype=bool)
-    for rows in weight_row_blocks(S.shape[0], X.shape[0]):
-        kw = KernelWeights(X, S[rows], b, leave_one_out, rows)
-        if NW in est:
-            est[NW][rows] = kw.nw(Y)
-        if LL in est:
-            est[LL][rows], fell_back[rows] = kw.ll(Y)
+    shape = (bs.size, S.shape[0], Y.shape[1])
+    est = {meth: np.empty(shape) for meth in (NW, LL) if meth in methods}
+    fell_back = np.zeros(shape[:2], dtype=bool)
+    for rows in weight_row_blocks(S.shape[0], 2 * X.shape[0]):
+        kw = KernelWeights(X, S[rows], bs, leave_one_out, rows)
+        for i in range(bs.size):
+            kw.at(i)
+            if NW in est:
+                est[NW][i, rows] = kw.nw(Y)
+            if LL in est:
+                est[LL][i, rows], fell_back[i, rows] = kw.ll(Y)
         del kw  # so the next block's weights replace this block's
+    if np.ndim(b) == 0:
+        return {meth: values[0] for meth, values in est.items()}, fell_back[0]
     return est, fell_back
 
 

@@ -190,6 +190,21 @@ def _log_coordinates(points: np.ndarray):
         return full, np.maximum(np.log(full), -1e300)
 
 
+def _log_kernel_products(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``S_full @ logX^T`` for validated centres S and points X: the
+    bandwidth-free part of :func:`log_kappa_matrix`, ``-inf`` where a
+    positive exponent meets a zero coordinate."""
+    S_full = np.column_stack([S, last_coordinate(S)])
+    X_full, logX = _log_coordinates(X)
+    out = S_full @ logX.T
+    zero_x = X_full == 0.0
+    if zero_x.any():
+        # A positive exponent meeting a zero coordinate is exactly -inf.
+        hits = zero_x.astype(float) @ (S_full > 0.0).T.astype(float)
+        out[(hits > 0.0).T] = -np.inf
+    return out
+
+
 def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
     """Log kernel values for many centers against many evaluation points.
 
@@ -204,17 +219,11 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
     _check_bandwidth(b)
     S = validate_points(eval_points)
     X = validate_points(x_points, dim=S.shape[1])
-    S_full, norm = _centres(S, b)
-    X_full, logX = _log_coordinates(X)
+    _, norm = _centres(S, b)
     # in place, so only one m x n array is alive at a time
-    out = S_full @ logX.T
+    out = _log_kernel_products(S, X)
     out /= b
     out += norm[:, None]
-    zero_x = X_full == 0.0
-    if zero_x.any():
-        # A positive exponent meeting a zero coordinate is exactly -inf.
-        hits = zero_x.astype(float) @ (S_full > 0.0).T.astype(float)
-        out[(hits > 0.0).T] = -np.inf
     return out
 
 

@@ -232,31 +232,36 @@ def _rep_seeds(master: int, k: int, rep: int):
 def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
     """LSCV values on the shared grid for every (function, method) pair.
 
-    Per bandwidth, one GM weight matrix and one
-    :func:`~simplexreg.estimators.kernel_estimates` call serve all
-    functions, whose responses are the columns of one matrix.  Values agree
-    bit-for-bit with :func:`simplexreg.bandwidth.lscv`: the same estimators
-    and the same criterion formula run underneath.
+    Per bandwidth one GM weight matrix, then one
+    :func:`~simplexreg.estimators.kernel_estimates` call over the whole
+    grid (after the GM cubature, so its estimates do not add to that
+    peak), serve all functions, whose responses are the columns of one
+    matrix.  Values agree bit-for-bit with
+    :func:`simplexreg.bandwidth.lscv`: the same estimators and the same
+    criterion formula run underneath.
     """
     grid = cfg.search.grid
     dim = points.shape[1]
     ys = [designs[f].responses for f in cfg.functions]
-    Y = np.column_stack(ys)
     out = {
         (f, meth): np.full(grid.size, np.inf)
         for f in cfg.functions
         for meth in cfg.methods
     }
-    for bi, b in enumerate(grid):
-        ests = {}
-        if GM in cfg.methods:
+
+    def score(meth, bi, est):
+        for f, column in zip(cfg.functions, est.T):
+            out[(f, meth)][bi] = _mc_ise(column, truths[f], dim)
+
+    if GM in cfg.methods:
+        for bi, b in enumerate(grid):
             gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
-            ests[GM] = np.column_stack([np.einsum("mn,n->m", gm_W, y) for y in ys])
-        if NW in cfg.methods or LL in cfg.methods:
-            ests.update(kernel_estimates(points, sample, b, Y, cfg.methods)[0])
+            score(GM, bi, np.column_stack([np.einsum("mn,n->m", gm_W, y) for y in ys]))
+    if NW in cfg.methods or LL in cfg.methods:
+        ests, _ = kernel_estimates(points, sample, grid, np.column_stack(ys), cfg.methods)
         for meth, est in ests.items():
-            for f, column in zip(cfg.functions, est.T):
-                out[(f, meth)][bi] = _mc_ise(column, truths[f], dim)
+            for bi in range(grid.size):
+                score(meth, bi, est[bi])
     return out
 
 

@@ -179,6 +179,25 @@ class TestLoocv:
         assert np.isfinite(value)
         assert peak < 1.5 * estimators.WEIGHT_BLOCK_BYTES
 
+    def test_grid_memory_is_bounded_by_the_budget(self):
+        # the 40 grid bandwidths share each block's bandwidth-free log-kernel
+        X = random_interior_points(990, 5)
+        design = Design(points=X, responses=np.cos(X[:, 0]) + X[:, 1])
+        peak, result = peak_traced_bytes(lambda: select_loocv_ll(design))
+        assert np.isfinite(result.objective_value)
+        assert peak < 1.5 * estimators.WEIGHT_BLOCK_BYTES
+
+    def test_selection_trace_equals_loocv_values(self):
+        rng = np.random.default_rng(77)
+        pts = random_interior_points(60, 12)
+        y = np.sin(3 * pts[:, 0]) + pts[:, 1] + rng.normal(0, 0.1, 60)
+        design = Design(points=pts, responses=y)
+        result = select_loocv_ll(design)
+        # the grid values and the golden-section probes
+        assert not result.boundary_minimum and len(result.trace) > 40
+        for b, value in result.trace:
+            assert value == loocv_ll(design, b), b
+
     @pytest.mark.parametrize("case", ["mesh10", "edges"])
     def test_blocked_rows_match_one_block(self, mesh10, monkeypatch, case):
         # at b = 2e-3 mesh10 mixes solved points with NW fallbacks; on the

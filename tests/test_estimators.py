@@ -23,11 +23,12 @@ from simplexreg.app import barycentric_grid
 from simplexreg.bandwidth import default_grid
 from simplexreg.errors import (
     AllWeightsVanishedError,
+    DomainError,
     InsufficientDataError,
     MismatchError,
 )
 from simplexreg.cubature import integrate_polygon_batch
-from simplexreg.kernel import kappa_columns, validate_points
+from simplexreg.kernel import kappa_columns, log_kappa_matrix, validate_points
 
 from conftest import edge_design, force_blocks, peak_traced_bytes, random_interior_points
 
@@ -544,6 +545,120 @@ class TestRowBlocks:
             assert np.array_equal(fell_back, one_fell_back)
             for meth in methods:
                 assert np.array_equal(est[meth][:, c], one_est[meth][:, 0], equal_nan=True)
+
+
+class TestBandwidthSequences:
+    """One kernel_estimates call serves a whole sequence of bandwidths."""
+
+    @pytest.mark.parametrize("blocks", ["one", "forced"])
+    @pytest.mark.parametrize("case", ["mesh10", "edges", "leave_one_out"])
+    def test_sequence_equals_one_call_per_bandwidth(self, mesh10, monkeypatch, case, blocks):
+        # on the default grid mesh10 mixes solved points with NW fallbacks
+        # (at 2e-3, say); on the edge design interior points lose every weight
+        X = edge_design() if case == "edges" else mesh10
+        loo = case == "leave_one_out"
+        S = X if loo else barycentric_grid(20)
+        Y = np.column_stack([np.sin(3 * X[:, 0]) + X[:, 1] ** 2, X[:, 1] ** 3])
+        if blocks == "forced":
+            force_blocks(monkeypatch, 2 * X.shape[0])
+        count = len(estimators.weight_row_blocks(S.shape[0], 2 * X.shape[0]))
+        assert count == 1 if blocks == "one" else count >= 3
+        grid = default_grid()
+        est, fell_back = estimators.kernel_estimates(X, S, grid, Y, ["NW", "LL"], loo)
+        assert est["NW"].shape == est["LL"].shape == (grid.size, S.shape[0], 2)
+        assert fell_back.shape == (grid.size, S.shape[0]) and fell_back.any()
+        assert np.isnan(est["NW"]).any() == (case == "edges")
+        for i, b in enumerate(grid):
+            one, one_fell_back = estimators.kernel_estimates(X, S, b, Y, ["NW", "LL"], loo)
+            assert np.array_equal(fell_back[i], one_fell_back), b
+            for meth in ("NW", "LL"):
+                assert np.array_equal(est[meth][i], one[meth], equal_nan=True), (meth, b)
+
+    def test_weights_at_each_bandwidth(self, mesh10):
+        S, grid = barycentric_grid(20), default_grid()[::6]
+        kw = KernelWeights(mesh10, S, grid)
+        for i, b in enumerate(grid):
+            w = kw.at(i).w
+            assert np.array_equal(w, KernelWeights(mesh10, S, b).w)
+            # the rescaled log-kernel rows, up to the rounding of exp(D / b)
+            logw = log_kappa_matrix(S, b, mesh10)
+            want = np.exp(logw - logw.max(axis=1, keepdims=True))
+            assert_allclose(w, want, rtol=1e-10, atol=1e-300)
+            assert np.array_equal(w.max(axis=1), np.ones(S.shape[0]))
+
+    def test_bandwidths_are_validated(self, mesh7):
+        Y = np.ones((28, 1))
+        for bad in ([0.1, 0.0], [0.1, np.inf], [], [[0.1, 0.2]]):
+            with pytest.raises(DomainError):
+                estimators.kernel_estimates(mesh7, mesh7[:3], bad, Y, ["NW"])
+
+
+def rotated_spectra(count, seed):
+    """Symmetric positive semidefinite 3 x 3 matrices ``c Q diag(1, mu, rho)
+    Q^T``: random rotations Q, mu in [1e-3, 1], rho in [1e-12, 1e-8] (so
+    the smallest singular value straddles ``LL_RCOND``), c in [1e-3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    spectra = np.column_stack(
+        [np.ones(count), 10.0 ** rng.uniform(-3, 0, count), 10.0 ** rng.uniform(-12, -8, count)]
+    )
+    spectra *= 10.0 ** rng.uniform(-3, 3, (count, 1))
+    A = (Q * spectra[:, None, :]) @ Q.transpose(0, 2, 1)
+    return (A + A.transpose(0, 2, 1)) / 2.0
+
+
+def svd_flags(A):
+    """The singularity flags of the former batched-SVD test."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    return (svals[:, -1] <= estimators.LL_RCOND * svals[:, 0]) | ~np.isfinite(svals).all(axis=1)
+
+
+def eigvalsh_flags(A):
+    ev = np.abs(np.linalg.eigvalsh(A))
+    return ev.min(axis=1) <= estimators.LL_RCOND * ev.max(axis=1)
+
+
+class TestSingularityTest:
+    """LL's singularity test: a determinant bound clears most normal
+    matrices, eigenvalues decide the rest."""
+
+    def test_flags_equal_svd_flags(self):
+        A = rotated_spectra(4000, 8)
+        want = svd_flags(A)
+        assert 100 < want.sum() < 3900
+        assert np.array_equal(estimators._singular(A), want)
+        cleared = estimators._clearly_regular(A)
+        assert 100 < cleared.sum() < 3900
+        assert not (cleared & eigvalsh_flags(A)).any()
+
+    def test_non_finite_and_zero_matrices_are_singular(self):
+        A = np.tile(np.eye(3), (4, 1, 1))
+        A[1, 0, 0] = np.nan
+        A[2, 1, 2] = A[2, 2, 1] = np.inf
+        A[3] = 0.0
+        assert estimators._singular(A).tolist() == [False, True, True, True]
+
+    def test_cleared_normal_matrices_are_never_flagged(self, mesh10, monkeypatch):
+        # the normal matrices of the study grid and of a soil-like LOOCV
+        seen = []
+        singular = estimators._singular
+
+        def record(A):
+            seen.append(A.copy())
+            return singular(A)
+
+        monkeypatch.setattr(estimators, "_singular", record)
+        y = np.sin(3 * mesh10[:, 0]) + mesh10[:, 1] ** 2
+        grid = default_grid()
+        estimators.kernel_estimates(mesh10, barycentric_grid(60), grid, y[:, None], ["LL"])
+        X = random_interior_points(990, 5)
+        y = np.cos(X[:, 0]) + X[:, 1]
+        estimators.kernel_estimates(X, X, grid, y[:, None], ["LL"], True)
+        A = np.concatenate(seen)
+        flagged, cleared = eigvalsh_flags(A), estimators._clearly_regular(A)
+        assert flagged.sum() > 1000 and cleared.sum() > 0.8 * len(A)
+        assert not (cleared & flagged).any()
+        assert np.array_equal(singular(A), flagged)
 
 
 class TestEquivariance:
