@@ -306,7 +306,9 @@ def mise_constants(
 ) -> tuple[float, float]:
     """The two MISE integrals over the 2-simplex: integrated squared bias
     coefficient and integrated variance constant (the latter over the
-    epsilon-shrunken simplex, since it diverges on the boundary).
+    epsilon-shrunken simplex, since it diverges on the boundary, from roots
+    graded toward the simplex edges at scale epsilon; see
+    :func:`~simplexreg.cubature.integrate_simplex`).
 
     The variance integrand is evaluated once per cubature round on the
     whole batch of points, so ``profile.sigma2`` and

@@ -334,6 +334,8 @@ def _cmd_clt(args) -> int:
         sigma=args.sigma,
         cfg=CubatureConfig(relative_tolerance=args.rtol),
     )
+    if not result.converged:
+        print("warning: cubature tolerance not reached in some cells", file=sys.stderr)
     if args.samples_out is not None:
         rows = ((z,) for z in result.standardized)
         _emit(app.csv_text("standardized", rows), args.samples_out)

@@ -1,7 +1,11 @@
 """Error-controlled integration over convex polygons and the 2-simplex.
 
 The integrator fan-triangulates a polygon from its centroid and adaptively
-bisects triangles along their longest edge.  Each triangle carries an embedded
+bisects triangles along their longest edge.  Where the integrand has a layer
+along the simplex edges, of known thickness, the polygon is first cut into
+bands graded toward those edges at that scale (:func:`graded_simplex_roots`):
+the Gasser-Muller kernel at bandwidth b, and the boundary-singular variance
+constant over the simplex shrunk by eps.  Each triangle carries an embedded
 pair of symmetric quadrature rules (degree 5 with 7 points, degree 7 with 13
 points; they share the centroid, so 19 evaluations per triangle); the
 difference between the two rules is the local error estimate and the degree-7
@@ -342,7 +346,14 @@ def integrate_polygon(f, cell, cfg: CubatureConfig | None = None) -> CubatureRes
         ``converged`` is False when the subdivision depth was exhausted; the
         best available estimate is still returned.
     """
-    value, err, converged, ntri = integrate_polygon_batch(_as_batch_callable(f), cell, 1, cfg)
+    return _integrate_scalar(f, cell, cfg, 0.0)
+
+
+def _integrate_scalar(f, cell, cfg, boundary_layer_scale: float) -> CubatureResult:
+    """:func:`integrate_polygon_batch` of a real-valued ``f``, as one result."""
+    value, err, converged, ntri = integrate_polygon_batch(
+        _as_batch_callable(f), cell, 1, cfg, boundary_layer_scale
+    )
     return CubatureResult(float(value[0]), float(err[0]), converged, ntri)
 
 
@@ -391,10 +402,15 @@ def integrate_simplex(
     With ``boundary_singular=True`` the domain shrinks to
     ``{s : s_i >= eps, s_{d+1} >= eps}``; inverse-square-root boundary
     singularities (the variance constant has one) are integrable, so the
-    truncation error is of order ``sqrt(eps)``.
+    truncation error is of order ``sqrt(eps)``.  The singularity then sits
+    on the simplex edges, ``eps`` outside the domain, so the root
+    triangulation is graded toward those edges at scale ``eps`` (bands at
+    ``eps * 4^k``, see :func:`graded_simplex_roots`): the boundary layers
+    are resolved from the first round instead of being found by many
+    rounds of bisection from a centroid fan.
     """
     domain = shrunken_simplex_triangle(eps) if boundary_singular else SIMPLEX_TRIANGLE
-    return integrate_polygon(f, domain, cfg)
+    return _integrate_scalar(f, domain, cfg, eps if boundary_singular else 0.0)
 
 
 __all__ = [

@@ -41,9 +41,9 @@ class ConvexCell:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "site", np.asarray(self.site, dtype=float))
         cross = _edge_crosses(v)
-        if np.any(cross < -1e-12 * max(1.0, np.abs(cross).max())):
+        if min(cross) < -1e-12 * max(1.0, max(map(abs, cross))):
             raise DomainError("cell vertices are not in convex ccw order")
-        if not _point_strictly_inside(self.site, v):
+        if not _point_strictly_inside(self.site.tolist(), v):
             raise DomainError("site does not lie strictly inside its cell")
 
     @cached_property
@@ -99,22 +99,25 @@ def _shifted(v: np.ndarray, k: int = 1) -> np.ndarray:
     return np.concatenate((v[k:], v[:k]))
 
 
-def _edge_crosses(vertices: np.ndarray) -> np.ndarray:
-    a = vertices
-    b = _shifted(vertices, 1)
-    c = _shifted(vertices, 2)
-    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
+def _edge_crosses(vertices: np.ndarray) -> list[float]:
+    """``(v[i+1] - v[i]) x (v[i+2] - v[i])`` for each vertex i, indices mod
+    the vertex count (positive where the ring turns left), on Python floats."""
+    a = vertices.tolist()
+    b, c = a[1:] + a[:1], a[2:] + a[:2]
+    return [
+        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        for (ax, ay), (bx, by), (cx, cy) in zip(a, b, c)
+    ]
 
 
 def _point_strictly_inside(p, vertices: np.ndarray) -> bool:
-    a = vertices
-    b = _shifted(vertices)
-    cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        p[0] - a[:, 0]
-    )
-    return bool(np.all(cross > 1e-12 * np.linalg.norm(b - a, axis=1)))
+    px, py = p
+    a = vertices.tolist()
+    for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1]):
+        dx, dy = bx - ax, by - ay
+        if not dx * (py - ay) - dy * (px - ax) > 1e-12 * math.sqrt(dx * dx + dy * dy):
+            return False
+    return True
 
 
 def mesh_design_points(k: int) -> np.ndarray:
@@ -143,12 +146,12 @@ def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
     """
     if vertices.shape[0] == 0:
         return vertices
-    values = vertices @ normal - offset
-    scale = max(1.0, float(np.abs(values).max()))
-    inside = values <= CLIP_TOL * scale
-    if np.all(inside):
+    f = (vertices @ normal - offset).tolist()
+    tol = CLIP_TOL * max(1.0, max(map(abs, f)))
+    ins = [v <= tol for v in f]
+    if all(ins):
         return vertices
-    pts, f, ins = vertices.tolist(), values.tolist(), inside.tolist()
+    pts = vertices.tolist()
     out: list[list[float]] = []
     for i in range(len(pts)):
         j = i + 1 if i + 1 < len(pts) else 0
@@ -161,8 +164,13 @@ def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
     return np.array(out) if out else np.empty((0, 2))
 
 
-def _radius(vertices: np.ndarray, s: np.ndarray) -> float:
-    return float(np.sqrt(((vertices - s) ** 2).sum(axis=1)).max())
+def _radius(vertices: np.ndarray, s) -> float:
+    """``max_v |v - s|`` for ``s = (x, y)``, on Python floats as in
+    :func:`_clip_halfplane`."""
+    sx, sy = s
+    return math.sqrt(
+        max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y in vertices.tolist())
+    )
 
 
 def _dedup_ring(vertices: np.ndarray) -> np.ndarray:
@@ -203,32 +211,38 @@ def voronoi_cell(site, other_sites, domain: np.ndarray = SIMPLEX_TRIANGLE) -> np
     whatever the number of sites; what grows with n is the distance sort,
     O(n log n) per cell in numpy.
     """
-    others = np.asarray(other_sites, dtype=float).reshape(-1, 2)
-    by_xy = others[np.lexsort((others[:, 1], others[:, 0]))]
-    return _nearest_first_cell(np.asarray(site, dtype=float), by_xy, domain)
+    s = np.asarray(site, dtype=float)
+    sites = np.vstack([np.asarray(other_sites, dtype=float).reshape(-1, 2), s])
+    by_xy = sites[np.lexsort((sites[:, 1], sites[:, 0]))]
+    return _nearest_first_cell(s, by_xy, domain)
 
 
 def _nearest_first_cell(s: np.ndarray, by_xy: np.ndarray, domain) -> np.ndarray:
-    """:func:`voronoi_cell` for other sites already sorted by x, then y: a
-    stable sort by distance then visits them by distance, x and y."""
+    """:func:`voronoi_cell` for all sites, ``s`` among them, already sorted
+    by x, then y: a stable sort by distance then visits ``s`` first and the
+    others by distance, x and y.  The walk's scalars are Python floats; the
+    bisector values stay one numpy product per clip."""
     poly = np.asarray(domain, dtype=float)
-    dists = np.linalg.norm(by_xy - s, axis=1)
-    order = np.argsort(dists, kind="stable")
-    if order.size and dists[order[0]] <= 1e-12:
+    to_sites = by_xy - s
+    dists = np.linalg.norm(to_sites, axis=1)
+    order = np.argsort(dists, kind="stable").tolist()
+    dists = dists.tolist()
+    if len(order) > 1 and dists[order[1]] <= 1e-12:
         raise DegenerateSiteError(f"coincident sites at {s}")
-    reach = _SKIP_MARGIN * 2.0 * _radius(poly, s)
-    for k in order:
+    s_xy, ss = s.tolist(), s @ s
+    reach = _SKIP_MARGIN * 2.0 * _radius(poly, s_xy)
+    for k in order[1:]:
         if dists[k] > reach:
             break
         t = by_xy[k]
         # points closer to s than t: (t - s) . x <= (|t|^2 - |s|^2) / 2
-        clipped = _clip_halfplane(poly, t - s, 0.5 * (t @ t - s @ s))
+        clipped = _clip_halfplane(poly, to_sites[k], 0.5 * (t @ t - ss))
         if clipped is poly:
             continue
         poly = clipped
         if poly.shape[0] < 3:
             break
-        reach = _SKIP_MARGIN * 2.0 * _radius(poly, s)
+        reach = _SKIP_MARGIN * 2.0 * _radius(poly, s_xy)
     return _dedup_ring(poly)
 
 
@@ -239,14 +253,13 @@ def voronoi_partition(sites) -> SimplexPartition:
     bit for bit, whatever the order of the sites.
     """
     pts = validate_points(sites, dim=2)
-    rank = np.lexsort((pts[:, 1], pts[:, 0]))  # the sites by x, then y
-    by_xy = pts[rank]
+    by_xy = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # the sites by x, then y
     cells = []
-    for i, r in enumerate(np.argsort(rank)):  # r: where site i sits in by_xy
-        verts = _nearest_first_cell(pts[i], np.delete(by_xy, r, axis=0), SIMPLEX_TRIANGLE)
+    for i, s in enumerate(pts):
+        verts = _nearest_first_cell(s, by_xy, SIMPLEX_TRIANGLE)
         if verts.shape[0] < 3:
             raise DegenerateSiteError(f"site {i} produced an empty cell")
-        cells.append(ConvexCell(vertices=verts, site=pts[i]))
+        cells.append(ConvexCell(vertices=verts, site=s))
     return SimplexPartition(cells=tuple(cells))
 
 

@@ -352,10 +352,15 @@ def _ks_normal_statistic(z) -> float:
 
 @dataclass(frozen=True)
 class CltStudyResult:
-    """Mean-centered standardized replicates and their KS statistic."""
+    """Mean-centered standardized replicates and their KS statistic.
+
+    ``converged`` is False when some cell's GM weight integral stopped
+    short of the cubature tolerance.
+    """
 
     standardized: np.ndarray
     ks_statistic: float
+    converged: bool
 
 
 def _k_for_sample_size(n: int) -> int:
@@ -390,7 +395,7 @@ def clt_study(
     k = _k_for_sample_size(n)
     points = mesh_design_points(k)
     partition = voronoi_partition(points)
-    weights, _ = gm_weight_matrix(partition, b, np.atleast_2d(s), cfg)
+    weights, cell_converged = gm_weight_matrix(partition, b, np.atleast_2d(s), cfg)
     w = weights[0]
     truth = np.asarray(m(points), dtype=float)
     base = float(w @ truth)
@@ -400,7 +405,11 @@ def clt_study(
     profile = uniform_profile(sigma**2, dim=2)
     z = clt_standardize(estimates, s, m, profile, n, b)
     z = z - z.mean()
-    return CltStudyResult(standardized=z, ks_statistic=_ks_normal_statistic(z))
+    return CltStudyResult(
+        standardized=z,
+        ks_statistic=_ks_normal_statistic(z),
+        converged=bool(cell_converged.all()),
+    )
 
 
 __all__ = [

@@ -75,6 +75,26 @@ def peak_traced_bytes(fn):
     return peak, result
 
 
+def shrunken_psi_integral(eps):
+    """Exact integral of ``psi_J`` over the eps-shrunken simplex.
+
+    With ``c = 1 - x1`` the inner integral of ``(x2 (c - x2))^(-1/2)`` over
+    ``eps <= x2 <= c - eps`` is ``[asin(2 x2 / c - 1)]``, which leaves
+    ``(1/4 pi) int_eps^(1-2eps) x1^(-1/2) [asin(2 x2/c - 1)]_eps^(c-eps) dx1``,
+    a 1-D integral that ``scipy.integrate.quad`` evaluates to near machine
+    precision.
+    """
+    from scipy.integrate import quad
+
+    def inner(x1):
+        c = 1.0 - x1
+        return x1**-0.5 * (np.arcsin(1.0 - 2.0 * eps / c) - np.arcsin(2.0 * eps / c - 1.0))
+
+    breaks = [2.0 * eps, 10.0 * eps, 0.5, 1.0 - 10.0 * eps]
+    value, _ = quad(inner, eps, 1.0 - 2.0 * eps, limit=500, points=breaks)
+    return value / (4.0 * np.pi)
+
+
 @st.composite
 def near_simplex_points(draw):
     """(n, 2) points on or near the simplex: each coordinate may sit up to

@@ -24,7 +24,7 @@ from simplexreg.asymptotics import (
 )
 from simplexreg.errors import BoundaryError, DomainError, MismatchError, ZeroBiasError
 
-from conftest import near_simplex_points, random_interior_points
+from conftest import near_simplex_points, random_interior_points, shrunken_psi_integral
 
 ALL_TARGETS = ["m1", "m2", "m3", "m4", "m5", "m6"]
 
@@ -236,6 +236,11 @@ class TestMiseOptimal:
         _, v_int = mise_constants(m5, profile)
         expected = sigma2 / 2.0 * (0.5 - 1.5 * np.sqrt(1e-4))
         assert v_int == pytest.approx(expected, rel=0.01)
+
+    def test_variance_integral_matches_exact_value(self):
+        # sigma^2 / f times the exact integral of psi over the shrunken simplex
+        _, v_int = mise_constants(target_function("m5"), uniform_profile(1.7))
+        assert v_int == pytest.approx(1.7 / 2.0 * shrunken_psi_integral(1e-4), rel=1e-3)
 
     def test_linear_target_bias_integral_closed_form(self):
         # m = 2 + 3 s1 - s2 gives g = 2 - 9 s1 + 3 s2; the exact monomial

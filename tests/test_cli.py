@@ -261,6 +261,27 @@ class TestClt:
         assert payload["replications"] == 40
         assert 0.0 < payload["ks_statistic"] < 1.0
 
+    def test_warns_when_cubature_tolerance_is_missed(self, capsys, monkeypatch):
+        from simplexreg import simulation
+
+        args = (
+            "clt", "--function", "m5", "--at", "0.333,0.333", "--n", "28",
+            "--bandwidth", "0.01", "--reps", "20", "--seed", "3",
+        )
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        real = simulation.gm_weight_matrix
+
+        def one_cell_missed(partition, b, pts, cfg=None):
+            W, conv = real(partition, b, pts, cfg)
+            conv[4] = False
+            return W, conv
+
+        monkeypatch.setattr(simulation, "gm_weight_matrix", one_cell_missed)
+        code, out_missed, err = run_cli(capsys, *args)
+        assert code == 0 and out_missed == out
+        assert err == "warning: cubature tolerance not reached in some cells\n"
+
     def test_invalid_n_is_numerical_or_data_error(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -31,6 +31,8 @@ from simplexreg.errors import MismatchError
 from simplexreg.geometry import SIMPLEX_TRIANGLE, _clip_halfplane, _dedup_ring
 from simplexreg.kernel import kappa_columns
 
+from conftest import shrunken_psi_integral
+
 
 def monomial_exact(p, q):
     # integral of x^p y^q over the triangle (0,0),(1,0),(0,1)
@@ -285,6 +287,21 @@ class TestIntegrateSimplex:
         # the full-simplex value is exactly 1/2; shrinking by eps truncates
         # three boundary strips of sqrt(eps)/2 each
         assert res.value == pytest.approx(0.5 - 1.5 * np.sqrt(eps), rel=0.01)
+
+    @pytest.mark.parametrize(
+        "eps, rtol", [(1e-2, 1e-3), (1e-4, 1e-3), (1e-4, 1e-5), (1e-6, 1e-3)]
+    )
+    def test_variance_constant_integral_vs_exact_value(self, eps, rtol):
+        # roots graded at scale eps resolve the inverse-square-root layers
+        # along the edges, so the result meets its own tolerance
+        res = integrate_simplex(
+            psi_J,
+            CubatureConfig(relative_tolerance=rtol),
+            boundary_singular=True,
+            eps=eps,
+        )
+        assert res.converged
+        assert res.value == pytest.approx(shrunken_psi_integral(eps), rel=rtol)
 
     def test_kernel_square_integral_matches_leading_term(self):
         # \int kappa^2 ~ b^{-d/2} psi(s) as b -> 0, with a first-order

@@ -26,6 +26,8 @@ from simplexreg.geometry import (
     _clip_halfplane,
     _dedup_ring,
     _edge_crosses,
+    _point_strictly_inside,
+    _radius,
     _shifted,
     voronoi_cell,
 )
@@ -263,6 +265,27 @@ class TestVoronoiPartition:
             ring = np.repeat(poly, rng.integers(1, 3, len(poly)), axis=0)
             ring = np.roll(ring, -1, axis=0) + rng.choice([0.0, 3e-11, 2e-10], ring.shape)
             assert np.array_equal(_dedup_ring(ring), dedup_ring_oracle(ring))
+
+    def test_radius_and_site_test_match_numpy_forms(self):
+        # the walk's radius and the cell's site test run on Python floats;
+        # they keep the bits and the decisions of their numpy forms
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
+            poly = rng.uniform(0.2, 0.8, 2) + 0.3 * np.column_stack(
+                [np.cos(angles), np.sin(angles)]
+            )
+            a, b = poly, np.roll(poly, -1, axis=0)
+            # a point inside, one anywhere, and one on an edge
+            on_edge = a[0] + rng.uniform() * (b[0] - a[0])
+            for p in (poly.mean(axis=0), rng.uniform(0.0, 1.0, 2), on_edge):
+                radius = np.sqrt(((poly - p) ** 2).sum(axis=1)).max()
+                assert _radius(poly, p.tolist()) == radius
+                cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+                    p[0] - a[:, 0]
+                )
+                inside = bool(np.all(cross > 1e-12 * np.linalg.norm(b - a, axis=1)))
+                assert _point_strictly_inside(p.tolist(), poly) == inside
 
     def test_point_location_consistency(self, partition7):
         pts = uniform_simplex_sample(10_000, 5150)

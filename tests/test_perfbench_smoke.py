@@ -3,7 +3,8 @@
 Each test runs ``perfbench/run.py`` on one workload for one second, which
 times one call and checks its outputs against ``perfbench/reference.json``:
 
-* ``asymptotics`` runs ``mise_opt_bandwidth(m2)`` and ``clt_study(m5)``;
+* ``asymptotics`` runs ``mise_opt_bandwidth(m2)`` and ``clt_study(m5)``,
+  once more traced to check the variance integral's cubature counters;
 * ``fit`` runs one ``simplexreg fit`` command on the benchmark's soil CSV
   and checks ``b_hat``, the LOOCV value and the grid digest, once more
   traced (``--trace 1``) to check the tracer's local linear counters;
@@ -37,6 +38,15 @@ def run_workload(name, *options):
 
 def test_asymptotics_workload_reports_correct():
     run_workload("asymptotics")
+
+
+def test_traced_asymptotics_counts_a_graded_variance_integral():
+    # roots graded at the singularity's scale pass in one round of a few
+    # hundred triangles (one psi_J call, and one more from clt_standardize),
+    # where a centroid fan took ~6,670 triangles over 20 rounds
+    metrics = run_workload("asymptotics", "--trace", "1")["metrics"]
+    assert metrics["cubature.integrate_simplex.triangles"]["value"] < 1000
+    assert metrics["asymptotics.psi_J.calls"]["value"] <= 4
 
 
 def test_fit_workload_reports_correct():

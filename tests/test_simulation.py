@@ -19,6 +19,7 @@ from simplexreg.errors import (
 )
 from simplexreg import simulation
 from simplexreg.estimators import gm_weight_matrix
+from simplexreg.cubature import CubatureConfig
 from simplexreg.simulation import _grid_criterion_values, _ks_normal_statistic, noise_sd
 from simplexreg.asymptotics import TargetFunction, bias_g
 
@@ -225,6 +226,15 @@ class TestRunStudy:
 
 
 class TestCltStudy:
+    def test_reports_cells_short_of_tolerance(self):
+        m5 = target_function("m5")
+        ok = clt_study(m5, [1 / 3, 1 / 3], 28, 0.01, 20, seed=1)
+        short = clt_study(
+            m5, [1 / 3, 1 / 3], 28, 0.01, 20, seed=1,
+            cfg=CubatureConfig(max_subdivisions=1),
+        )
+        assert ok.converged and not short.converged
+
     def test_requires_at_least_two_replications(self):
         with pytest.raises(ValueError):
             clt_study(target_function("m5"), [1 / 3, 1 / 3], 28, 0.2, 1, seed=1)
