@@ -15,11 +15,9 @@ from simplexreg import (
     generate_responses,
     mesh_design_points,
     target_function,
-    voronoi_partition,
 )
 
 points = mesh_design_points(7)
-partition = voronoi_partition(points)
 m = target_function("m6")
 design = generate_responses(m, points, seed=42)
 
@@ -28,13 +26,7 @@ b = 0.1
 
 print(f"target m6(s) = (1+s1) exp(s2), noisy design n={design.n}, bandwidth b={b}")
 print(f"{'point':>14}  {'truth':>8}  {'GM':>8}  {'NW':>8}  {'LL':>8}")
-rows = {
-    meth: batch_estimate(
-        meth, design, b, eval_points,
-        partition=partition if meth == "GM" else None,
-    )
-    for meth in ("GM", "NW", "LL")
-}
+rows = {meth: batch_estimate(meth, design, b, eval_points) for meth in ("GM", "NW", "LL")}
 for i, s in enumerate(eval_points):
     truth = float(m(s))
     print(
@@ -51,8 +43,5 @@ for b in (0.05, 0.3, 0.9):
 print("\nconstant responses come back exactly for NW/LL, within cubature noise for GM:")
 const = Design(points=points, responses=np.full(design.n, 5.0))
 for meth in ("GM", "NW", "LL"):
-    est = batch_estimate(
-        meth, const, 0.1, np.array([[0.3, 0.3]]),
-        partition=partition if meth == "GM" else None,
-    )[0]
+    est = batch_estimate(meth, const, 0.1, np.array([[0.3, 0.3]]))[0]
     print(f"  {meth}: {est:.10f}")

@@ -81,6 +81,28 @@ class LoadedComposition:
 _MISSING = {"", "na", "nan", "n/a", "null", "none", "-"}
 
 
+def read_csv_records(path, columns):
+    """``(row, record)`` for each data record of a headered CSV file, where
+    ``row`` is the line on which the record ends, the header being line 1.
+
+    Raises :class:`ParseError` when the header is missing or lacks one of
+    ``columns``, and with the row number when the CSV itself is malformed
+    (say, a field longer than the csv module's limit).
+    """
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            if reader.fieldnames is None:
+                raise ParseError(f"{path}: no header row")
+            for name in columns:
+                if name not in reader.fieldnames:
+                    raise ParseError(f"{path}: missing column {name!r}")
+            for record in reader:
+                yield reader.line_num, record
+        except csv.Error as exc:  # line_num counts the lines before the bad one
+            raise ParseError(str(exc), row=reader.line_num + 1) from None
+
+
 def load_composition_csv(
     path, columns: CompositionColumns | None = None
 ) -> LoadedComposition:
@@ -95,33 +117,26 @@ def load_composition_csv(
     points: list[tuple[float, float]] = []
     responses: list[float] = []
     dropped = 0
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError("file has no header row")
-        needed = [columns.sand, columns.silt, columns.clay, columns.response]
-        for name in needed:
-            if name not in reader.fieldnames:
-                raise ParseError(f"missing column {name!r} in header")
-        for rownum, record in enumerate(reader, start=2):
-            raw = [record.get(name) for name in needed]
-            if any(v is None or v.strip().lower() in _MISSING for v in raw):
-                dropped += 1
-                continue
-            try:
-                sand, silt, clay, ph = (float(v) for v in raw)
-            except ValueError as exc:
-                raise ParseError(str(exc), row=rownum) from None
-            total = sand + silt + clay
-            if not math.isfinite(total) or total <= 0 or min(sand, silt, clay) < 0:
-                raise ParseError(
-                    f"invalid composition ({sand}, {silt}, {clay})", row=rownum
-                )
-            if not math.isfinite(ph):
-                dropped += 1
-                continue
-            points.append((sand / total, silt / total))
-            responses.append(ph)
+    needed = [columns.sand, columns.silt, columns.clay, columns.response]
+    for rownum, record in read_csv_records(path, needed):
+        raw = [record[name] for name in needed]
+        if any(v is None or v.strip().lower() in _MISSING for v in raw):
+            dropped += 1
+            continue
+        try:
+            sand, silt, clay, ph = (float(v) for v in raw)
+        except ValueError as exc:
+            raise ParseError(str(exc), row=rownum) from None
+        total = sand + silt + clay
+        if not math.isfinite(total) or total <= 0 or min(sand, silt, clay) < 0:
+            raise ParseError(
+                f"invalid composition ({sand}, {silt}, {clay})", row=rownum
+            )
+        if not math.isfinite(ph):
+            dropped += 1
+            continue
+        points.append((sand / total, silt / total))
+        responses.append(ph)
     if not points:
         raise EmptyDatasetError(f"no usable rows in {path}")
     return LoadedComposition(
@@ -238,6 +253,7 @@ __all__ = [
     "classify_ph",
     "CompositionColumns",
     "LoadedComposition",
+    "read_csv_records",
     "load_composition_csv",
     "barycentric_grid",
     "GridRow",

@@ -20,8 +20,7 @@ import numpy as np
 
 from .cubature import CubatureConfig
 from .errors import AllInfiniteError
-from .estimators import GM, LL, Design, batch_estimate, kernel_estimates
-from .geometry import SimplexPartition
+from .estimators import LL, Design, batch_estimate, kernel_estimates
 from .kernel import validate_points
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -117,7 +116,6 @@ def lscv(
     m_true,
     eval_sample,
     b: float,
-    partition: SimplexPartition | None = None,
     cfg: CubatureConfig | None = None,
 ) -> float:
     """Monte Carlo least-squares criterion against a known target.
@@ -128,11 +126,12 @@ def lscv(
     error.  Reuse the same ``eval_sample`` across bandwidths within a search
     (common random numbers) to keep the criterion curve smooth.
 
-    Points where estimation fails are excluded and the count renormalized;
-    if every point fails the criterion is ``inf``.
+    GM integrates over the cells of ``design.partition``.  Points where
+    estimation fails are excluded and the count renormalized; if every point
+    fails the criterion is ``inf``.
     """
     U = validate_points(eval_sample, dim=design.dim)
-    est = batch_estimate(method, design, b, U, partition=partition, cfg=cfg)
+    est = batch_estimate(method, design, b, U, cfg=cfg)
     return _mc_ise(est, np.asarray(m_true(U), dtype=float), design.dim)
 
 
@@ -177,15 +176,12 @@ def select_lscv(
     m_true,
     eval_sample,
     search: BandwidthSearch | None = None,
-    partition: SimplexPartition | None = None,
     cfg: CubatureConfig | None = None,
 ) -> BandwidthResult:
-    """Minimize the LSCV criterion over a bandwidth search."""
-    if method == GM and partition is None:
-        raise ValueError("GM selection requires a partition")
+    """Minimize the :func:`lscv` criterion over a bandwidth search; GM
+    builds ``design.partition`` once, on the first bandwidth."""
     return minimize_bandwidth(
-        lambda b: lscv(method, design, m_true, eval_sample, b, partition, cfg),
-        search,
+        lambda b: lscv(method, design, m_true, eval_sample, b, cfg), search
     )
 
 

@@ -59,9 +59,7 @@ _DATA_ERRORS = (
     DegenerateSiteError,
     InsufficientDataError,
     UnknownFunctionError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,
 )
 _NUMERICAL_ERRORS = (
     AllInfiniteError,
@@ -110,21 +108,12 @@ def _read_points(path: str) -> np.ndarray:
 
 
 def _read_numeric_csv(path: str, columns) -> np.ndarray:
-    import csv as _csv
-
     out = []
-    with open(path, newline="") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: no header row")
-        for name in columns:
-            if name not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {name!r}")
-        for rownum, record in enumerate(reader, start=2):
-            try:
-                out.append([float(record[name]) for name in columns])
-            except (TypeError, ValueError):
-                raise ParseError("malformed number", row=rownum) from None
+    for rownum, record in app.read_csv_records(path, columns):
+        try:
+            out.append([float(record[name]) for name in columns])
+        except (TypeError, ValueError):
+            raise ParseError("malformed number", row=rownum) from None
     if not out:
         raise EmptyDatasetError(f"no rows in {path}")
     return np.array(out)
@@ -162,13 +151,10 @@ def _cmd_estimate(args) -> int:
     else:
         raise _UsageError("provide --at or --eval-points")
     cfg = CubatureConfig(relative_tolerance=args.rtol)
-    partition = voronoi_partition(design.points) if args.method == "GM" else None
-    missed = [] if partition is not None else None  # cells short of tolerance
-    values = batch_estimate(
-        args.method, design, args.bandwidth, points, partition, cfg, missed
-    )
+    missed = [] if args.method == "GM" else None  # cells short of tolerance
+    values = batch_estimate(args.method, design, args.bandwidth, points, cfg, missed)
     if missed:
-        cells = f"{len(missed)} of {len(partition)} cells"
+        cells = f"{len(missed)} of {design.n} cells"
         print(f"warning: cubature tolerance not reached in {cells}", file=sys.stderr)
     failed = int(np.isnan(values).sum())
     if failed == values.size:
@@ -195,18 +181,9 @@ def _cmd_bandwidth(args) -> int:
         if args.function is None:
             raise _UsageError("lscv needs --function (the known target)")
         sample = uniform_simplex_sample(args.sample_size, args.seed)
-        partition = (
-            voronoi_partition(design.points) if args.method == "GM" else None
-        )
         cfg = CubatureConfig(relative_tolerance=args.rtol)
         result = select_lscv(
-            args.method,
-            design,
-            target_function(args.function),
-            sample,
-            search=search,
-            partition=partition,
-            cfg=cfg,
+            args.method, design, target_function(args.function), sample, search, cfg
         )
     else:
         result = select_loocv_ll(design, search)
@@ -266,9 +243,15 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         cubature=CubatureConfig(relative_tolerance=args.rtol),
         lscv_sample_size=args.lscv_sample_size,
-        noise_scale=args.noise_scale,
     )
     rows = run_study(cfg)
+    missed = sum(not r.converged for r in rows)
+    if missed:
+        print(
+            f"warning: cubature tolerance not reached in some cells of {missed} "
+            f"of {len(rows)} rows",
+            file=sys.stderr,
+        )
     text = _study_table(rows) if args.format == "table" else _study_csv(rows)
     _emit(text, args.out)
     return 0
@@ -387,7 +370,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rtol", type=float, default=1e-3)
     p.add_argument("--lscv-sample-size", type=int, default=1000)
-    p.add_argument("--noise-scale", choices=("sd", "variance"), default="sd")
     p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_simulate)

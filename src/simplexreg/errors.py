@@ -19,8 +19,8 @@ class DegenerateSiteError(SimplexregError, ValueError):
 
 
 class MismatchError(SimplexregError, ValueError):
-    """Paired inputs (design/partition, points/responses) have inconsistent
-    lengths or dimensions."""
+    """Paired inputs (points/responses, integrand/points) have inconsistent
+    lengths or shapes."""
 
 
 class AllWeightsVanishedError(SimplexregError, ArithmeticError):

@@ -3,7 +3,7 @@
 Given design points ``x_1..x_n`` on the simplex with responses ``Y_1..Y_n``:
 
 * ``gm``: weighted response sum where weight i is the integral of the
-  smoothing kernel over design point i's partition cell;
+  smoothing kernel over design point i's Voronoi cell;
 * ``nw``: kernel-weighted average of the responses (weights normalized);
 * ``ll``: intercept of the kernel-weighted least-squares affine fit centered
   at the evaluation point.
@@ -13,8 +13,11 @@ of one moment contraction; a singular LL system keeps the NW value, flagged.
 Weights span hundreds of orders of magnitude, so they come from log-kernel
 values with per-row max subtraction, which cancels the kernel's
 normalisation: the weight at bandwidth b is ``exp(D / b)`` for one
-bandwidth-free ``D``.  All is pure given immutable inputs.
-:func:`batch_estimate` is the one evaluation path; the single-point
+bandwidth-free ``D``.  GM's cells are the Voronoi cells of the design
+points, so a :class:`Design` builds its own partition on first GM use
+(:attr:`Design.partition`); only the low-level cell integrals,
+:func:`gm_weight_matrix`, take a partition.  All is pure given immutable
+inputs.  :func:`batch_estimate` is the one evaluation path; the single-point
 functions are its one-row calls.  Every NW and LL value, LOOCV and the
 study included, comes from :func:`kernel_estimates`, which builds ``D``
 one row block at a time and serves every bandwidth of a call from it, so
@@ -24,6 +27,7 @@ memory stays bounded however many points and bandwidths a call holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (
     InsufficientDataError,
     MismatchError,
 )
-from .geometry import SimplexPartition
+from .geometry import SimplexPartition, voronoi_partition
 from .kernel import (
     _check_bandwidth,
     _log_kernel_products,
@@ -88,14 +92,13 @@ class Design:
     def dim(self) -> int:
         return self.points.shape[1]
 
-
-def _check_partition(design: Design, partition: SimplexPartition) -> None:
-    if len(partition) != design.n:
-        raise MismatchError(
-            f"partition has {len(partition)} cells for {design.n} design points"
-        )
-    if not np.allclose(partition.sites, design.points, atol=1e-9):
-        raise MismatchError("partition sites do not match the design points")
+    @cached_property
+    def partition(self) -> SimplexPartition:
+        """The Voronoi partition of the design points, the GM cells; built on
+        first access, so NW and LL never build one.  Raises
+        :class:`DomainError` unless d = 2 and
+        :class:`~simplexreg.errors.DegenerateSiteError` for repeated points."""
+        return voronoi_partition(self.points)
 
 
 def gm_weight_matrix(
@@ -355,7 +358,6 @@ def batch_estimate(
     design: Design,
     b: float,
     eval_points,
-    partition: SimplexPartition | None = None,
     cfg: CubatureConfig | None = None,
     diagnostics: list | None = None,
 ) -> np.ndarray:
@@ -366,18 +368,16 @@ def batch_estimate(
     batch of any size holds at most one row block of kernel weights.
     Per-point failures become NaN entries and are appended to
     ``diagnostics`` (as ``(point index, message)`` pairs, the index into the
-    whole batch) rather than aborting the batch.  For GM the
-    entries are ``(cell index, message)`` pairs instead, one per cell whose
-    cubature missed its tolerance.
+    whole batch) rather than aborting the batch.  GM integrates over the
+    cells of ``design.partition``, and its entries are ``(cell index,
+    message)`` pairs instead, one per cell whose cubature missed its
+    tolerance.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     S = validate_points(eval_points, dim=design.dim)
     if method == GM:
-        if partition is None:
-            raise MismatchError("the GM estimator requires a partition")
-        _check_partition(design, partition)
-        W, conv = gm_weight_matrix(partition, b, S, cfg)
+        W, conv = gm_weight_matrix(design.partition, b, S, cfg)
         if diagnostics is not None:
             diagnostics.extend(
                 (int(j), f"cell {j}: cubature tolerance not reached")
@@ -400,14 +400,13 @@ def _estimate_one(
     design: Design,
     b: float,
     s,
-    partition: SimplexPartition | None = None,
     cfg: CubatureConfig | None = None,
     diagnostics: list | None = None,
 ) -> float:
     """:func:`batch_estimate` at the one point ``s``; a point where every
     kernel weight vanished raises :class:`AllWeightsVanishedError`."""
     flags: list = []
-    value = batch_estimate(method, design, b, s, partition, cfg, flags)[0]
+    value = batch_estimate(method, design, b, s, cfg, flags)[0]
     if np.isnan(value):
         raise AllWeightsVanishedError(
             "all kernel weights vanished; no design point supports this estimate"
@@ -419,19 +418,19 @@ def _estimate_one(
 
 def gm_estimate(
     design: Design,
-    partition: SimplexPartition,
     b: float,
     s,
     cfg: CubatureConfig | None = None,
     diagnostics: list | None = None,
 ) -> float:
-    """Gasser-Muller estimate at ``s``, the one-row :func:`batch_estimate`.
+    """Gasser-Muller estimate at ``s`` over the cells of ``design.partition``,
+    the one-row :func:`batch_estimate`.
 
     When a list is supplied, each cell whose cubature missed its tolerance
     is appended to ``diagnostics`` as a ``(cell index, message)`` pair; the
     estimate is still returned.
     """
-    return _estimate_one(GM, design, b, s, partition, cfg, diagnostics)
+    return _estimate_one(GM, design, b, s, cfg, diagnostics)
 
 
 def nw_estimate(design: Design, b: float, s) -> float:

@@ -210,8 +210,8 @@ def log_kappa_matrix(eval_points, b: float, x_points) -> np.ndarray:
 
     Entry ``[i, j]`` is ``log kappa_{s_i, b}(x_j)`` for centers ``s_i`` in
     ``eval_points`` and points ``x_j`` in ``x_points``.  The inner loop is a
-    single matrix product, which is what makes batched Nadaraya-Watson, local
-    linear and cross-validation evaluation cheap.
+    single matrix product; NW, LL and LOOCV take its bandwidth-free part,
+    :func:`_log_kernel_products`, directly.
 
     Points ``x_j`` on the simplex boundary get ``-inf`` where a positive
     exponent meets the zero coordinate, consistent with :func:`log_kappa`.

@@ -123,14 +123,10 @@ def target_function(name: str) -> TargetFunction:
         ) from None
 
 
-def noise_sd(m: TargetFunction, points, noise_scale: str = "sd") -> float:
-    """Gaussian noise scale from the response spread ``IQR(m(x_1..x_n))/10``.
-
-    ``noise_scale`` selects how that number parameterizes the normal law:
-    ``"sd"`` (default) treats it as the standard deviation, the reading
-    consistent with the reported study magnitudes; ``"variance"`` treats it
-    as the variance.
-    """
+def noise_sd(m: TargetFunction, points) -> float:
+    """Gaussian noise standard deviation from the response spread,
+    ``IQR(m(x_1..x_n))/10``: the reading consistent with the reported study
+    magnitudes."""
     vals = np.asarray(m(validate_points(points)), dtype=float)
     q75, q25 = np.percentile(vals, [75.0, 25.0])
     iqr = float(q75 - q25)
@@ -141,11 +137,7 @@ def noise_sd(m: TargetFunction, points, noise_scale: str = "sd") -> float:
             stacklevel=2,
         )
         return 0.0
-    if noise_scale == "sd":
-        return iqr / 10.0
-    if noise_scale == "variance":
-        return float(np.sqrt(iqr / 10.0))
-    raise ValueError(f"noise_scale must be 'sd' or 'variance', got {noise_scale!r}")
+    return iqr / 10.0
 
 
 def generate_responses(
@@ -153,7 +145,6 @@ def generate_responses(
     points,
     seed,
     zero_noise: bool = False,
-    noise_scale: str = "sd",
 ) -> Design:
     """Simulate ``Y_i = m(x_i) + eps_i`` with iid centered Gaussian errors.
 
@@ -166,7 +157,7 @@ def generate_responses(
     truth = np.asarray(m(pts), dtype=float)
     if zero_noise:
         return Design(points=pts, responses=truth)
-    sd = noise_sd(m, pts, noise_scale)
+    sd = noise_sd(m, pts)
     eps = np.random.default_rng(seed).standard_normal(pts.shape[0]) * sd
     return Design(points=pts, responses=truth + eps)
 
@@ -186,7 +177,6 @@ class StudyConfig:
     search: BandwidthSearch = field(
         default_factory=lambda: BandwidthSearch(refine=False)
     )
-    noise_scale: str = "sd"
 
     def __post_init__(self):
         if self.replications < 1:
@@ -206,7 +196,12 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """One aggregated study row (integrated squared errors scaled by 1e7)."""
+    """One aggregated study row (integrated squared errors scaled by 1e7).
+
+    ``converged`` is False when some GM cell integral stopped short of the
+    cubature tolerance, at some grid bandwidth of some replication; NW and
+    LL rows integrate nothing and are always True.
+    """
 
     function: str
     n: int
@@ -219,6 +214,7 @@ class StudyResult:
     failures: int
     elapsed_seconds: float
     valid: bool
+    converged: bool
 
 
 _METHOD_ORDER = {GM: 0, NW: 1, LL: 2}
@@ -230,7 +226,8 @@ def _rep_seeds(master: int, k: int, rep: int):
 
 
 def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
-    """LSCV values on the shared grid for every (function, method) pair.
+    """LSCV values on the shared grid for every (function, method) pair, and
+    whether every GM cell integral met the cubature tolerance.
 
     Per bandwidth one GM weight matrix, then one
     :func:`~simplexreg.estimators.kernel_estimates` call over the whole
@@ -253,16 +250,18 @@ def _grid_criterion_values(cfg, points, partition, sample, designs, truths):
         for f, column in zip(cfg.functions, est.T):
             out[(f, meth)][bi] = _mc_ise(column, truths[f], dim)
 
+    gm_converged = True
     if GM in cfg.methods:
         for bi, b in enumerate(grid):
-            gm_W, _ = gm_weight_matrix(partition, b, sample, cfg.cubature)
+            gm_W, cell_converged = gm_weight_matrix(partition, b, sample, cfg.cubature)
+            gm_converged &= bool(cell_converged.all())
             score(GM, bi, np.column_stack([np.einsum("mn,n->m", gm_W, y) for y in ys]))
     if NW in cfg.methods or LL in cfg.methods:
         ests, _ = kernel_estimates(points, sample, grid, np.column_stack(ys), cfg.methods)
         for meth, est in ests.items():
             for bi in range(grid.size):
                 score(meth, bi, est[bi])
-    return out
+    return out, gm_converged
 
 
 def run_study(cfg: StudyConfig) -> list[StudyResult]:
@@ -273,7 +272,9 @@ def run_study(cfg: StudyConfig) -> list[StudyResult]:
     selected by minimizing the LSCV criterion on the ``cfg.search`` grid,
     and the ISE recorded at the selected bandwidth.  Failed replications are
     excluded and counted; a cell losing more than 10% of its replications is
-    marked invalid.  Fully deterministic given ``cfg.seed``.
+    marked invalid.  A GM row whose cell integrals missed the cubature
+    tolerance has ``converged=False``.  Fully deterministic given
+    ``cfg.seed``.
     """
     rows: list[StudyResult] = []
 
@@ -283,24 +284,24 @@ def run_study(cfg: StudyConfig) -> list[StudyResult]:
         partition = voronoi_partition(points) if GM in cfg.methods else None
         ise = {(f, meth): [] for f in cfg.functions for meth in cfg.methods}
         failures = {(f, meth): 0 for f in cfg.functions for meth in cfg.methods}
+        gm_converged = True
         started = time.perf_counter()
 
         for rep in range(cfg.replications):
             sample_seq, noise_seq = _rep_seeds(cfg.seed, k, rep)
             sample = uniform_simplex_sample(cfg.lscv_sample_size, sample_seq)
             designs = {
-                f: generate_responses(
-                    target_function(f), points, noise_seq, noise_scale=cfg.noise_scale
-                )
+                f: generate_responses(target_function(f), points, noise_seq)
                 for f in cfg.functions
             }
             truths = {
                 f: np.asarray(target_function(f)(sample), float)
                 for f in cfg.functions
             }
-            values = _grid_criterion_values(
+            values, converged = _grid_criterion_values(
                 cfg, points, partition, sample, designs, truths
             )
+            gm_converged &= converged
 
             for f in cfg.functions:
                 for meth in cfg.methods:
@@ -331,6 +332,7 @@ def run_study(cfg: StudyConfig) -> list[StudyResult]:
                         failures=nfail,
                         elapsed_seconds=elapsed,
                         valid=nfail <= 0.1 * cfg.replications,
+                        converged=gm_converged or meth != GM,
                     )
                 )
 

@@ -72,7 +72,7 @@ def clt_result():
     )
 
 
-def test_a1_exactness_suite(mesh7, partition7):
+def test_a1_exactness_suite(mesh7):
     cfg = CubatureConfig()
     const = Design(points=mesh7, responses=np.full(28, 3.7))
     nw_err = abs(nw_estimate(const, 0.1, [0.3, 0.3]) - 3.7)
@@ -83,7 +83,7 @@ def test_a1_exactness_suite(mesh7, partition7):
         for b in (0.05, 0.2)
         for s in random_interior_points(5, 41)
     )
-    gm_err = abs(gm_estimate(const, partition7, 0.1, [0.3, 0.3], cfg) - 3.7)
+    gm_err = abs(gm_estimate(const, 0.1, [0.3, 0.3], cfg) - 3.7)
     norm_err = 0.0
     for i, s in enumerate(random_interior_points(20, 314)):
         for b in (0.05, 0.1, 0.2):

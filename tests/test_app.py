@@ -94,6 +94,25 @@ class TestLoadCompositionCsv:
         with pytest.raises(ParseError):
             load_composition_csv(path)
 
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_field_over_the_csv_limit_raises_with_row(self, tmp_path, row):
+        rows = ["sand,silt,clay,pH", "40,40,20,6.5", "10,60,30,5.0"]
+        rows[row - 1] = '"' + "9" * 131_073 + '",' + rows[row - 1]
+        path = tmp_path / "soil.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_composition_csv(path)
+        assert err.value.row == row
+
+    def test_rows_count_lines_across_quoted_newlines(self, tmp_path):
+        # a quoted newline makes record 2 end on line 3, so the bad record
+        # after it is on line 4, as the csv module counts for its own errors
+        path = tmp_path / "soil.csv"
+        path.write_text('sand,silt,clay,pH\n40,40,20,"6.5\n"\n10,sixty,30,5.0\n')
+        with pytest.raises(ParseError) as err:
+            load_composition_csv(path)
+        assert err.value.row == 4
+
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "soil.csv"
         path.write_text("S,SI,CL,ph_cacl2\n50,30,20,6.0\n")

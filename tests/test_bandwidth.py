@@ -105,10 +105,9 @@ class TestLscv:
         assert abs(values[0] - values[1]) < 3 * np.hypot(errors[0], errors[1])
 
     def test_gm_selection_runs_end_to_end(self):
-        from simplexreg import mesh_design_points, voronoi_partition
+        from simplexreg import mesh_design_points
 
         pts = mesh_design_points(2)
-        part = voronoi_partition(pts)
         m4 = target_function("m4")
         design = Design(points=pts, responses=np.asarray(m4(pts)))
         sample = uniform_simplex_sample(60, 41)
@@ -118,16 +117,9 @@ class TestLscv:
             m4,
             sample,
             search=BandwidthSearch(grid=np.geomspace(0.1, 1.0, 5), refine=False),
-            partition=part,
         )
         assert np.isfinite(result.objective_value)
         assert 0.1 <= result.b_hat <= 1.0
-
-    def test_gm_selection_requires_partition(self, mesh7):
-        m4 = target_function("m4")
-        design = Design(points=mesh7, responses=np.asarray(m4(mesh7)))
-        with pytest.raises(ValueError):
-            select_lscv("GM", design, m4, uniform_simplex_sample(10, 1))
 
     def test_trace_reproducible_given_seed(self, mesh7):
         m1 = target_function("m1")

@@ -115,6 +115,42 @@ class TestEstimate:
         assert code == 2
 
 
+class TestMalformedPaths:
+    """A path through a file or an oversized CSV field is a data error: exit
+    2 and one ``data error:`` line, not a traceback."""
+
+    def assert_data_error(self, capsys, *args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    def test_design_path_through_a_file(self, tmp_path, capsys):
+        design = make_design_csv(tmp_path / "design.csv")
+        self.assert_data_error(
+            capsys,
+            "estimate", "--method", "NW", "--design", str(design / "x.csv"),
+            "--bandwidth", "0.1", "--at", "0.3,0.3",
+        )
+
+    def test_out_path_through_a_file(self, tmp_path, capsys):
+        design = make_design_csv(tmp_path / "design.csv")
+        self.assert_data_error(
+            capsys,
+            "estimate", "--method", "NW", "--design", str(design),
+            "--bandwidth", "0.1", "--at", "0.3,0.3", "--out", str(design / "out.csv"),
+        )
+
+    def test_field_over_the_csv_limit(self, tmp_path, capsys):
+        design = make_design_csv(tmp_path / "design.csv")
+        with design.open("a") as handle:
+            handle.write('0.3,0.3,"' + "1" * 131_073 + '"\n')
+        self.assert_data_error(
+            capsys,
+            "estimate", "--method", "NW", "--design", str(design),
+            "--bandwidth", "0.1", "--at", "0.3,0.3",
+        )
+
+
 class TestBandwidth:
     def test_loocv_with_trace(self, tmp_path, capsys):
         design = make_design_csv(tmp_path / "design.csv")
@@ -168,6 +204,27 @@ class TestSimulate:
         assert out1 == out2
         header = out1.splitlines()[0]
         assert header.startswith("function,n,method,mean,sd,median,iqr")
+
+    def test_warns_when_gm_cubature_tolerance_is_missed(self, capsys, monkeypatch):
+        from simplexreg import simulation
+
+        args = (
+            "simulate", "--functions", "m1,m4", "--k", "2", "--methods", "GM,LL",
+            "--reps", "1", "--seed", "5", "--lscv-sample-size", "40",
+        )
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        real = simulation.gm_weight_matrix
+
+        def one_cell_missed(partition, b, pts, cfg=None):
+            W, conv = real(partition, b, pts, cfg)
+            conv[1] = False
+            return W, conv
+
+        monkeypatch.setattr(simulation, "gm_weight_matrix", one_cell_missed)
+        code, out_missed, err = run_cli(capsys, *args)
+        assert code == 0 and out_missed == out
+        assert err == "warning: cubature tolerance not reached in some cells of 2 of 4 rows\n"
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Each demo script runs to completion.
+"""Each demo script, and the README's Quick start, runs to completion.
 
 The demos in ``demos/`` are the package's worked examples; each runs in its
 own interpreter with ``src/`` on the path, from a scratch directory, and
@@ -6,6 +6,7 @@ must exit with status 0 (all eight take about 10 s together).
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,12 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout
+
+
+def test_readme_quick_start_runs():
+    # the README's one python block, run as written, so it cannot drift
+    # from the API
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -23,6 +23,7 @@ from simplexreg.app import barycentric_grid
 from simplexreg.bandwidth import default_grid
 from simplexreg.errors import (
     AllWeightsVanishedError,
+    DegenerateSiteError,
     DomainError,
     InsufficientDataError,
     MismatchError,
@@ -46,26 +47,63 @@ class TestDesign:
         with pytest.raises(MismatchError):
             Design(points=np.array([[0.1, 0.2]]), responses=np.array([np.inf]))
 
+    def test_partition_is_built_once(self, mesh7):
+        design = Design(points=mesh7, responses=np.zeros(28))
+        assert design.partition is design.partition
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_partition_is_the_voronoi_partition_of_the_points(self, k):
+        points = mesh_design_points(k)
+        design = Design(points=points, responses=np.zeros(len(points)))
+        fresh = voronoi_partition(points)
+        assert len(design.partition) == len(fresh)
+        for cell, other in zip(design.partition.cells, fresh.cells):
+            assert np.array_equal(cell.site, other.site)
+            assert np.array_equal(cell.vertices, other.vertices)
+
+    def test_gm_integrates_over_the_design_partition(self, mesh10):
+        design = noiseless(mesh10, lambda p: np.sin(3 * p[:, 0]) + p[:, 1] ** 2)
+        S, b = random_interior_points(30, 8), 0.08
+        W, _ = gm_weight_matrix(voronoi_partition(mesh10), b, S)
+        expected = np.einsum("mn,n->m", W, design.responses)
+        assert np.array_equal(batch_estimate("GM", design, b, S), expected)
+
+    @pytest.mark.parametrize(
+        "points, error",
+        [
+            (np.vstack([mesh_design_points(7)] * 2)[:29], DegenerateSiteError),
+            (uniform_simplex_sample(30, 1, dim=3), DomainError),
+        ],
+        ids=["repeated point", "three parts"],
+    )
+    def test_only_gm_needs_a_partition(self, points, error):
+        design = noiseless(points, lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1])
+        s = points[1:3]
+        assert np.isfinite(batch_estimate("NW", design, 0.1, s)).all()
+        ll = batch_estimate("LL", design, 0.1, s)
+        assert_allclose(ll, 1.0 + s[:, 0] - 2.0 * s[:, 1], atol=1e-10)
+        with pytest.raises(error):
+            batch_estimate("GM", design, 0.1, s)
+
 
 class TestGm:
-    def test_constant_responses(self, mesh7, partition7):
+    def test_constant_responses(self, mesh7):
         cfg = CubatureConfig()
         design = Design(points=mesh7, responses=np.full(28, 4.2))
-        value = gm_estimate(design, partition7, 0.1, [0.3, 0.3], cfg)
+        value = gm_estimate(design, 0.1, [0.3, 0.3], cfg)
         assert abs(value - 4.2) <= 20 * cfg.relative_tolerance * 4.2
 
     def test_single_cell_design_returns_its_response(self):
         pts = np.array([[0.3, 0.3]])
-        part = voronoi_partition(pts)
         design = Design(points=pts, responses=np.array([7.5]))
-        value = gm_estimate(design, part, 0.15, [0.2, 0.5])
+        value = gm_estimate(design, 0.15, [0.2, 0.5])
         assert value == pytest.approx(7.5, rel=5e-3)
 
-    def test_matches_tight_tolerance_self_oracle(self, mesh7, partition7):
+    def test_matches_tight_tolerance_self_oracle(self, mesh7):
         design = noiseless(mesh7, lambda p: p[:, 0] * (1 + p[:, 1]))
         s = [1 / 3, 1 / 3]
-        coarse = gm_estimate(design, partition7, 0.1, s, CubatureConfig(1e-3))
-        fine = gm_estimate(design, partition7, 0.1, s, CubatureConfig(1e-7))
+        coarse = gm_estimate(design, 0.1, s, CubatureConfig(1e-3))
+        fine = gm_estimate(design, 0.1, s, CubatureConfig(1e-7))
         assert coarse == pytest.approx(fine, rel=5e-3)
 
     def test_weights_sum_to_one_for_interior_points(self, partition7):
@@ -154,16 +192,11 @@ class TestGm:
             return [(int(j), f"cell {j}: cubature tolerance not reached") for j in cells]
 
         diags = []
-        batch_estimate("GM", design, 0.004, S, partition7, cfg, diagnostics=diags)
+        batch_estimate("GM", design, 0.004, S, cfg, diagnostics=diags)
         assert diags == expected(S)
         diags = []
-        gm_estimate(design, partition7, 0.004, S[0], cfg, diagnostics=diags)
+        gm_estimate(design, 0.004, S[0], cfg, diagnostics=diags)
         assert diags == expected(S[:1])
-
-    def test_partition_design_mismatch(self, mesh7, partition10):
-        design = Design(points=mesh7, responses=np.zeros(28))
-        with pytest.raises(MismatchError):
-            gm_estimate(design, partition10, 0.1, [0.3, 0.3])
 
 
 class TestNw:
@@ -401,13 +434,13 @@ class TestLlSolver:
 
 
 class TestBatch:
-    def test_singleton_matches_single_call(self, mesh7, partition7):
+    def test_singleton_matches_single_call(self, mesh7):
         design = noiseless(mesh7, lambda p: np.exp(p[:, 0]) - p[:, 1])
         s = np.array([[0.22, 0.41]])
         assert batch_estimate("NW", design, 0.1, s)[0] == nw_estimate(design, 0.1, s[0])
         assert batch_estimate("LL", design, 0.1, s)[0] == ll_estimate(design, 0.1, s[0])
-        gm_b = batch_estimate("GM", design, 0.1, s, partition=partition7)[0]
-        assert gm_b == gm_estimate(design, partition7, 0.1, s[0])
+        gm_b = batch_estimate("GM", design, 0.1, s)[0]
+        assert gm_b == gm_estimate(design, 0.1, s[0])
 
     def test_permutation_equivariance(self, mesh7):
         design = noiseless(mesh7, lambda p: p[:, 0] ** 2 + p[:, 1])
@@ -446,18 +479,13 @@ class TestBatch:
             return W[[row_of[p.tobytes()] for p in pts]], conv
 
         monkeypatch.setattr(estimators, "gm_weight_matrix", fixed_weights)
-        gm = batch_estimate("GM", design, b, S, partition=partition10)
+        gm = batch_estimate("GM", design, b, S)
         assert_allclose(gm, W @ design.responses, rtol=1e-14)
         for i in range(S.shape[0]):
             one = slice(i, i + 1)
             assert np.array_equal(row_slice(kw, one).nw(design.responses), nw[one])
-            gm_one = batch_estimate("GM", design, b, S[one], partition=partition10)
+            gm_one = batch_estimate("GM", design, b, S[one])
             assert np.array_equal(gm_one, gm[one])
-
-    def test_gm_requires_partition(self, mesh7):
-        design = noiseless(mesh7, lambda p: p[:, 0])
-        with pytest.raises(MismatchError):
-            batch_estimate("GM", design, 0.1, np.array([[0.3, 0.3]]))
 
     def test_diagnostics_collect_failures(self):
         design = Design(
@@ -677,17 +705,13 @@ class TestEquivariance:
         assert_allclose(shifted, base + 3.7, atol=1e-10)
         assert_allclose(scaled, 2.5 * base, rtol=1e-10)
 
-    def test_gm_shift_within_cubature_error(self, mesh7, partition7):
+    def test_gm_shift_within_cubature_error(self, mesh7):
         cfg = CubatureConfig()
         rng = np.random.default_rng(3)
         y = rng.normal(size=28)
         s = [0.3, 0.4]
-        base = gm_estimate(Design(points=mesh7, responses=y), partition7, 0.15, s, cfg)
-        shifted = gm_estimate(
-            Design(points=mesh7, responses=y + 2.0), partition7, 0.15, s, cfg
-        )
+        base = gm_estimate(Design(points=mesh7, responses=y), 0.15, s, cfg)
+        shifted = gm_estimate(Design(points=mesh7, responses=y + 2.0), 0.15, s, cfg)
         assert shifted - base == pytest.approx(2.0, abs=40 * cfg.relative_tolerance)
-        scaled = gm_estimate(
-            Design(points=mesh7, responses=3.0 * y), partition7, 0.15, s, cfg
-        )
+        scaled = gm_estimate(Design(points=mesh7, responses=3.0 * y), 0.15, s, cfg)
         assert scaled == pytest.approx(3.0 * base, abs=40 * cfg.relative_tolerance)
