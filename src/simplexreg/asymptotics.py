@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cubature import CubatureConfig, integrate_simplex
 from .errors import (
@@ -226,6 +225,8 @@ def psi_J(s, J=()) -> float | np.ndarray:
 
 def _gamma_shrink_factor(lam: float) -> float:
     # Gamma(2 lam + 1) / (2^(2 lam + 1) Gamma(lam + 1)^2)
+    from scipy.special import gammaln
+
     return float(
         np.exp(gammaln(2 * lam + 1) - (2 * lam + 1) * np.log(2.0) - 2 * gammaln(lam + 1))
     )

@@ -15,6 +15,9 @@ Integrands may be vector valued: the engine refines until every component
 meets ``max(relative_tolerance * |value|, absolute_floor)``, sharing all
 function evaluations across components.  That is what makes computing the
 Gasser-Muller weights for a thousand evaluation points at once affordable.
+The floor is the config's ``absolute_floor`` for scalar integrals; the
+Gasser-Muller weights of a row sum to 1, so their caller raises it to a
+tenth of the relative tolerance shared among the cells.
 
 Running out of subdivision depth is reported through the ``converged`` flag
 of the result, never silently and never as an exception: batch evaluation
@@ -89,7 +92,15 @@ _NQ = _BARY.shape[0]  # 19 shared evaluation points per triangle
 
 @dataclass(frozen=True)
 class CubatureConfig:
-    """Tolerances for the adaptive integrator."""
+    """Tolerances for the adaptive integrator.
+
+    ``absolute_floor`` is the floor of :func:`integrate_polygon`,
+    :func:`integrate_simplex` (the MISE constants among them) and direct
+    :func:`integrate_polygon_batch` calls.  The Gasser-Muller cell integrals
+    (:func:`~simplexreg.estimators.gm_weight_matrix`) raise it to
+    ``relative_tolerance / (10 n)`` for n cells where that is larger, since
+    their weights add up to 1.
+    """
 
     relative_tolerance: float = 1e-3
     absolute_floor: float = 1e-14
@@ -100,8 +111,10 @@ class CubatureConfig:
             raise ValueError(
                 f"relative_tolerance must be in (0, 0.1], got {self.relative_tolerance}"
             )
-        if self.absolute_floor <= 0.0:
-            raise ValueError("absolute_floor must be positive")
+        if not 0.0 < self.absolute_floor < np.inf:
+            raise ValueError(
+                f"absolute_floor must be positive and finite, got {self.absolute_floor}"
+            )
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

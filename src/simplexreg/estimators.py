@@ -26,7 +26,7 @@ memory stays bounded however many points and bandwidths a call holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -113,7 +113,18 @@ def gm_weight_matrix(
     integral of the kernel centered at evaluation point i over cell j, and
     ``cell_converged[j]`` reports whether cell j's cubature met tolerance for
     every evaluation point.  The kernel integral is nonnegative, so signed
-    quadrature noise at the absolute floor is clamped away.
+    quadrature noise at the floor is clamped away.
+
+    The kernel is a probability density and the cells partition the
+    simplex, so each row of weights sums to 1 and the absolute floor is a
+    tolerance relative to the row total.  The floor of the n cells'
+    integrals is ``max(cfg.absolute_floor, cfg.relative_tolerance / (10 n))``.
+    A cell's integral passes once its error estimate is at most
+    ``max(relative_tolerance * value, floor)``, so over a row the error
+    estimates add up to at most ``relative_tolerance`` (the weights sum to 1)
+    plus ``n * floor``, a tenth of the tolerance, and a GM estimate
+    ``W @ y`` is within ``1.1 * relative_tolerance * max |y|`` of its exact
+    value, as far as the error estimates hold.
 
     The points of a batch share each cell's refinement: a triangle is split
     when any point's integral needs it.  So a weight depends, within the
@@ -122,7 +133,7 @@ def gm_weight_matrix(
 
     A pair whose kernel is bounded (by concavity of the log-kernel, see
     :func:`~simplexreg.kernel.log_kappa_cell_bounds`) so far below the
-    absolute floor that it would pass the first cubature round anyway is
+    floor that it would pass the first cubature round anyway is
     not integrated: its weight is exactly 0, the true weight is below the
     floor, and every other pair's weight and every flag stay as they are.
     """
@@ -131,6 +142,8 @@ def gm_weight_matrix(
     m = S.shape[0]
     f_batch = kappa_columns(S, b)
     cells = partition.cells
+    floor = max(cfg.absolute_floor, cfg.relative_tolerance / (10 * len(cells)))
+    cfg = replace(cfg, absolute_floor=floor)
     bounds = log_kappa_cell_bounds(S, b, [cell.vertices for cell in cells])
     skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
     weights = np.zeros((m, len(partition)))

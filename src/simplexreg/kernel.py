@@ -9,6 +9,9 @@ at ``s`` and it concentrates around ``s`` as ``b`` shrinks.
 Everything is evaluated in log space (log-gamma based), because the Dirichlet
 parameters reach the thousands for small bandwidths and direct gamma
 evaluation overflows.  All functions are pure and safe to call concurrently.
+``scipy.special`` is imported inside the functions that call it, here and in
+``asymptotics`` and ``simulation``, so NW/LL work such as ``simplexreg fit``
+never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, PoleError
 
@@ -135,6 +137,8 @@ def log_dirichlet_density(alpha, beta: float, x) -> float | np.ndarray:
     PoleError
         If an exponent below zero meets a zero coordinate.
     """
+    from scipy.special import gammaln
+
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any(a <= 0.0) or beta <= 0.0:
         raise DomainError("Dirichlet parameters must be positive")
@@ -177,6 +181,8 @@ def kappa(s, b: float, x) -> float | np.ndarray:
 def _centres(S: np.ndarray, b: float):
     """Full coordinates of validated centres and their log normalisations
     ``logGamma(1/b + d + 1) - sum_j logGamma(s_j/b + 1)``."""
+    from scipy.special import gammaln
+
     S_full = np.column_stack([S, last_coordinate(S)])
     norm = gammaln(1.0 / b + S.shape[1] + 1.0) - gammaln(S_full / b + 1.0).sum(axis=1)
     return S_full, norm

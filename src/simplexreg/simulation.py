@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import TargetFunction, clt_standardize, uniform_profile
 from .bandwidth import BandwidthSearch, _mc_ise
@@ -345,6 +344,8 @@ def _ks_normal_statistic(z) -> float:
     normal: ``max_i max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n)`` over the
     sorted sample, the statistic of ``scipy.stats.kstest(z, "norm")``
     without importing ``scipy.stats``."""
+    from scipy.special import ndtr
+
     cdf = ndtr(np.sort(np.asarray(z, dtype=float)))
     n = cdf.size
     d_plus = np.arange(1.0, n + 1) / n - cdf

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -6,6 +10,8 @@ from simplexreg import estimators
 from simplexreg.cli import cli_main
 
 from conftest import random_interior_points
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -268,18 +274,21 @@ class TestAsymptotics:
         assert "numerical failure" in err
 
 
+def make_soil_csv(path):
+    pts = random_interior_points(50, 21)
+    clay = 1.0 - pts.sum(axis=1)
+    ph = 6.0 + 1.2 * pts[:, 0] - 0.4 * pts[:, 1]
+    lines = ["sand,silt,clay,pH"] + [
+        f"{100*a},{100*b},{100*c},{v}"
+        for (a, b), c, v in zip(pts, clay, ph)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestFit:
     def test_synthetic_pipeline_round_trip(self, tmp_path, capsys):
-        rng = np.random.default_rng(8)
-        pts = random_interior_points(50, 21)
-        clay = 1.0 - pts.sum(axis=1)
-        ph = 6.0 + 1.2 * pts[:, 0] - 0.4 * pts[:, 1]
-        lines = ["sand,silt,clay,pH"] + [
-            f"{100*a},{100*b},{100*c},{v}"
-            for (a, b), c, v in zip(pts, clay, ph)
-        ]
-        data = tmp_path / "soil.csv"
-        data.write_text("\n".join(lines) + "\n")
+        data = make_soil_csv(tmp_path / "soil.csv")
         grid_out = tmp_path / "grid.csv"
         code, out, _ = run_cli(
             capsys,
@@ -298,6 +307,34 @@ class TestFit:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "fit", "--input", str(tmp_path / "none.csv"))
         assert code == 2
+
+    def test_never_imports_scipy_special(self, tmp_path):
+        # NW/LL need no log-gamma, so a fresh interpreter running `fit`
+        # never loads scipy.special (about half the package's import time)
+        data = make_soil_csv(tmp_path / "soil.csv")
+        script = (
+            "import sys\n"
+            "from simplexreg.cli import cli_main\n"
+            f"code = cli_main(['fit', '--input', {str(data)!r}, "
+            f"'--out', {str(tmp_path / 'grid.csv')!r}, '--grid-resolution', '8', "
+            "'--grid-size', '5', '--no-refine'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.special' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout
 
 
 class TestClt:

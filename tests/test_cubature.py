@@ -409,5 +409,8 @@ class TestConfigValidation:
     def test_floor_and_depth_validation(self):
         with pytest.raises(ValueError):
             CubatureConfig(absolute_floor=0.0)
+        for floor in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CubatureConfig(absolute_floor=floor)
         with pytest.raises(ValueError):
             CubatureConfig(max_subdivisions=0)

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,24 +133,51 @@ class TestGm:
 
     @pytest.mark.parametrize("b", [1e-3, 1e-2, 0.07, 0.5])
     def test_pruned_pairs_were_below_the_floor(self, partition7, b):
-        # oracle: every cell integrated for every point, nothing pruned
+        # oracle: every cell integrated for every point at the GM floor,
+        # the larger of the config's floor and rtol / (10 n), nothing pruned
         cfg = CubatureConfig()
+        floor = max(cfg.absolute_floor, cfg.relative_tolerance / (10 * len(partition7)))
+        gm_cfg = replace(cfg, absolute_floor=floor)
         corners = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1e-9, 0.3]]
         S = np.vstack([uniform_simplex_sample(200, 11), corners])
         f_batch = kappa_columns(S, b)
         runs = [
-            integrate_polygon_batch(f_batch, cell, len(S), cfg, boundary_layer_scale=b)
+            integrate_polygon_batch(f_batch, cell, len(S), gm_cfg, boundary_layer_scale=b)
             for cell in partition7.cells
         ]
         oracle = np.column_stack([run[0] for run in runs])
         W, converged = gm_weight_matrix(partition7, b, S, cfg)
         assert np.array_equal(converged, [run[2] for run in runs])
         pruned = (W == 0.0) & (oracle > 0.0)
-        assert np.all(oracle[pruned] < cfg.absolute_floor)
+        assert np.all(oracle[pruned] < floor)
         if b <= 1e-2:
             assert pruned.mean() > 0.2
         kept = ~pruned
         assert_allclose(W[kept], np.maximum(oracle[kept], 0.0), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("b, fixed_floor_err", [(0.01, 0.745), (0.07, 0.997), (0.4, 0.704)])
+    def test_estimates_match_a_tight_oracle(self, mesh7, partition7, b, fixed_floor_err):
+        # oracle: every cell integrated for every point at rtol 1e-5 and
+        # floor 1e-16, nothing pruned.  fixed_floor_err is the worst error
+        # of m1, m2 and m4 with the former fixed floor of 1e-14, in units of
+        # rtol * max|y|; the error sits in the large weights, so the floor
+        # gm_weight_matrix derives from rtol may add at most 0.05 to it.
+        cfg = CubatureConfig()
+        tight = CubatureConfig(relative_tolerance=1e-5, absolute_floor=1e-16, max_subdivisions=30)
+        S = uniform_simplex_sample(200, 11)
+        Y = np.column_stack([target_function(name)(mesh7) for name in ("m1", "m2", "m4")])
+        f_batch = kappa_columns(S, b)
+        runs = [
+            integrate_polygon_batch(f_batch, cell, len(S), tight, boundary_layer_scale=b)
+            for cell in partition7.cells
+        ]
+        assert all(run[2] for run in runs)
+        oracle = np.maximum(np.column_stack([run[0] for run in runs]), 0.0)
+        W, converged = gm_weight_matrix(partition7, b, S, cfg)
+        assert converged.all()
+        err = np.abs(W @ Y - oracle @ Y).max(axis=0)
+        bound = (fixed_floor_err + 0.05) * cfg.relative_tolerance * np.abs(Y).max(axis=0)
+        assert np.all(err <= bound)
 
     @pytest.mark.parametrize("b", [0.01, 0.2])
     def test_rows_follow_a_permutation_of_the_points(self, partition7, b):

@@ -221,10 +221,12 @@ class TestRunStudy:
 
 class TestCltStudy:
     def test_reports_cells_short_of_tolerance(self):
+        # at b = 0.01 one subdivision already meets the GM floor in every
+        # cell; at b = 0.005 the kernel is too peaked for that
         m5 = target_function("m5")
-        ok = clt_study(m5, [1 / 3, 1 / 3], 28, 0.01, 20, seed=1)
+        ok = clt_study(m5, [1 / 3, 1 / 3], 28, 0.005, 20, seed=1)
         short = clt_study(
-            m5, [1 / 3, 1 / 3], 28, 0.01, 20, seed=1,
+            m5, [1 / 3, 1 / 3], 28, 0.005, 20, seed=1,
             cfg=CubatureConfig(max_subdivisions=1),
         )
         assert ok.converged and not short.converged
