@@ -28,16 +28,13 @@ peaked and the weights are astronomically small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import MismatchError
 from .geometry import (
-    CLIP_TOL,
     SIMPLEX_TRIANGLE,
     ConvexCell,
-    _clip_halfplane,
+    _clip_rings,
     _dedup_ring,
     _shifted,
     cell_area,
@@ -206,7 +203,7 @@ def _split_longest_edge(coords: np.ndarray) -> np.ndarray:
     return ext.reshape(6 * T, 2)[rows].reshape(2 * T, 3, 2)
 
 
-def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
+def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int, est=None):
     """Shared adaptive refinement over an initial triangulation.
 
     Each round writes every active component's value, error and flag, then
@@ -216,11 +213,14 @@ def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int):
     loop stops when all components passed, the triangle cap is reached, no
     splittable triangle carries error, or no triangle is marked.  Values and
     errors live in one ``(2, T, a)`` array, so a round takes one sum, one
-    column select when components freeze, and one concatenate.
+    column select when components freeze, and one concatenate.  ``est`` is
+    the first round's ``(2, T, m)`` estimate over the roots where the
+    caller has evaluated it already.
     """
     coords = roots
     active = np.arange(m)
-    est = _eval_rules(f_batch, coords, active)
+    if est is None:
+        est = _eval_rules(f_batch, coords, active)
     depth = np.zeros(coords.shape[0], dtype=int)
     out = np.empty((2, m))
     out_conv = np.empty(m, dtype=bool)
@@ -268,26 +268,38 @@ def fan_triangulation(vertices: np.ndarray) -> np.ndarray:
     return tris
 
 
-def _split_at_line(polys: list[np.ndarray], normal: np.ndarray, offset: float):
-    """Split each convex piece along the line ``normal . x = offset``.
+def _split_at_line(polys: list[np.ndarray], owners: list[int], normal, offset: float):
+    """Split each convex piece along the line ``normal . x = offset``: the
+    pieces and the indices of the cells they belong to.
 
-    A piece the line misses by more than the clipping tolerance is kept as
-    it is, without the two clips: for a deduplicated ring, such as a
-    partition cell or a piece cut from one, they would return it unchanged.
+    Both clips of every piece are one :func:`_clip_rings` call.  A piece
+    the line misses by more than the clipping tolerance, so that one of its
+    clips is empty, is kept as it is; any other piece gives way to its two
+    halves that keep an area after deduplication (or stays if neither
+    does).
     """
+    n = len(polys)
+    both = polys * 2  # clipped below, then above the line
+    counts = np.array([p.shape[0] for p in both])
+    rings = np.zeros((2 * n, counts.max(), 2))
+    for ring, poly in zip(rings, both):
+        ring[: poly.shape[0]] = poly
+    sides = np.repeat([normal, -normal], n, axis=0)
+    changed, clipped, sizes = _clip_rings(rings, counts, sides, np.repeat([offset, -offset], n))
+    for row, ring, size in zip(changed, clipped, sizes):
+        both[row] = ring[:size]
     out: list[np.ndarray] = []
-    for poly in polys:
-        values = poly @ normal - offset
-        top, bottom = values.max(), values.min()
-        tol = CLIP_TOL * max(1.0, top, -bottom)
-        if top < -tol or bottom > tol:
-            out.append(poly)
-            continue
-        lo = _dedup_ring(_clip_halfplane(poly, normal, offset))
-        hi = _dedup_ring(_clip_halfplane(poly, -normal, -offset))
-        pieces = [p for p in (lo, hi) if p.shape[0] >= 3 and cell_area(p) > 1e-16]
-        out.extend(pieces if pieces else [poly])
-    return out
+    out_owners: list[int] = []
+    for poly, owner, lo, hi in zip(polys, owners, both[:n], both[n:]):
+        pieces = []
+        if lo.shape[0] and hi.shape[0]:
+            pieces = [
+                p for p in map(_dedup_ring, (lo, hi)) if p.shape[0] >= 3 and cell_area(p) > 1e-16
+            ]
+        pieces = pieces or [poly]
+        out += pieces
+        out_owners += [owner] * len(pieces)
+    return out, out_owners
 
 
 def graded_simplex_roots(vertices, scale: float) -> np.ndarray:
@@ -300,7 +312,15 @@ def graded_simplex_roots(vertices, scale: float) -> np.ndarray:
     three simplex edges puts quadrature points inside any such layer from
     the start, so the adaptive stage only has to polish.
     """
-    polys = [np.asarray(vertices, dtype=float)]
+    return _graded_roots([np.asarray(vertices, dtype=float)], scale)[0]
+
+
+def _graded_roots(cells: list[np.ndarray], scale: float) -> list[np.ndarray]:
+    """:func:`graded_simplex_roots` of each cell, with each band line
+    splitting the pieces of every cell in one :func:`_split_at_line` call.
+    A cell's pieces stay in their order, so its roots do not depend on the
+    other cells."""
+    polys, owners = list(cells), list(range(len(cells)))
     if scale > 0.0:
         for normal in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])):
             # offset value of the simplex edge along this normal
@@ -311,19 +331,43 @@ def graded_simplex_roots(vertices, scale: float) -> np.ndarray:
                 # estimator without help
                 if level - base > 0.2:
                     break
-                polys = _split_at_line(polys, normal, level)
-    return np.concatenate([fan_triangulation(p) for p in polys])
+                polys, owners = _split_at_line(polys, owners, normal, level)
+    fans: list[list[np.ndarray]] = [[] for _ in cells]
+    for poly, owner in zip(polys, owners):
+        fans[owner].append(fan_triangulation(poly))
+    return [np.concatenate(f) for f in fans]
 
 
-@lru_cache(maxsize=8192)
-def _cached_graded_roots(vertex_bytes: bytes, scale: float) -> np.ndarray:
-    """Read-only :func:`graded_simplex_roots` of a cell given by its vertex
-    bytes.  The roots depend only on the cell and the scale, and a study
-    integrates over the same cells at the same bandwidths in every
-    replication."""
-    roots = graded_simplex_roots(np.frombuffer(vertex_bytes).reshape(-1, 2), scale)
-    roots.setflags(write=False)
-    return roots
+# Root triangulations kept, by cell vertex bytes and scale, the oldest
+# dropped first: the roots depend only on the cell and the scale, and a
+# study integrates over the same cells at the same bandwidths in every
+# replication.
+_ROOTS_CACHE_SIZE = 8192
+_roots_cache: dict[tuple[bytes, float], np.ndarray] = {}
+
+
+def root_triangles(cells, boundary_layer_scale: float = 0.0) -> list[np.ndarray]:
+    """The read-only ``(T, 3, 2)`` root triangulations that the integration
+    of each of ``cells`` (ConvexCells or vertex arrays) starts from:
+    :func:`graded_simplex_roots` at a positive ``boundary_layer_scale``, the
+    centroid fan at 0.  They are cached by cell and scale; the cells not
+    cached are graded together (:func:`_graded_roots`).
+    """
+    scale = float(boundary_layer_scale)
+    keys = []
+    for cell in cells:
+        verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
+        keys.append((np.ascontiguousarray(verts, dtype=float).tobytes(), scale))
+    found = {key: _roots_cache.get(key) for key in keys}
+    todo = [key for key, roots in found.items() if roots is None]
+    if todo:
+        rings = [np.frombuffer(vertex_bytes).reshape(-1, 2) for vertex_bytes, _ in todo]
+        for key, roots in zip(todo, _graded_roots(rings, scale)):
+            roots.setflags(write=False)
+            found[key] = _roots_cache[key] = roots
+            if len(_roots_cache) > _ROOTS_CACHE_SIZE:
+                del _roots_cache[next(iter(_roots_cache))]
+    return [found[key] for key in keys]
 
 
 def _as_batch_callable(f):
@@ -392,11 +436,43 @@ def integrate_polygon_batch(
     first two of shape ``(n_components,)``.
     """
     cfg = cfg or CubatureConfig()
-    verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
-    roots = _cached_graded_roots(
-        np.ascontiguousarray(verts, dtype=float).tobytes(), float(boundary_layer_scale)
-    )
+    (roots,) = root_triangles([cell], boundary_layer_scale)
     return _adaptive(f_batch, roots, cfg, n_components)
+
+
+def integrate_cells_batch(
+    f_batch,
+    cells,
+    n_components: int,
+    cfg: CubatureConfig | None = None,
+    boundary_layer_scale: float = 0.0,
+):
+    """:func:`integrate_polygon_batch` over each of several cells, with the
+    first round of every cell in one evaluation of ``f_batch``.
+
+    The roots of all cells are evaluated together and summed per cell.  A
+    cell whose components all pass that round takes its totals; any other
+    cell goes on refining from its slice of the estimate, as
+    :func:`integrate_polygon_batch` would from its own first round.  A cell
+    takes the values of its own call within rounding (the batched sums
+    add in another order).  Returns ``(values, converged)``, of shapes
+    ``(len(cells), n_components)`` and ``(len(cells),)``.
+    """
+    cfg = cfg or CubatureConfig()
+    roots = root_triangles(cells, boundary_layer_scale)
+    sizes = np.array([r.shape[0] for r in roots])
+    est = _eval_rules(f_batch, np.concatenate(roots), np.arange(n_components))
+    starts = np.cumsum(sizes) - sizes
+    totals = np.add.reduceat(est, starts, axis=1)  # (2, cells, n_components)
+    tol = np.abs(totals[0])
+    tol *= cfg.relative_tolerance
+    passed = (totals[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)).all(axis=1)
+    values = totals[0]
+    converged = np.ones(len(cells), dtype=bool)
+    for c in np.flatnonzero(~passed):
+        part = est[:, starts[c] : starts[c] + sizes[c]]
+        values[c], _, converged[c], _ = _adaptive(f_batch, roots[c], cfg, n_components, part)
+    return values, converged
 
 
 def shrunken_simplex_triangle(eps: float = 1e-4) -> np.ndarray:
@@ -431,8 +507,10 @@ __all__ = [
     "CubatureResult",
     "fan_triangulation",
     "integrate_polygon",
+    "integrate_cells_batch",
     "integrate_polygon_batch",
     "integrate_simplex",
     "negligible_components",
+    "root_triangles",
     "shrunken_simplex_triangle",
 ]

@@ -31,7 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .cubature import CubatureConfig, integrate_polygon_batch, negligible_components
+from .cubature import (
+    CubatureConfig,
+    integrate_cells_batch,
+    integrate_polygon_batch,
+    negligible_components,
+    root_triangles,
+)
 from .errors import (
     AllWeightsVanishedError,
     DomainError,
@@ -40,6 +46,7 @@ from .errors import (
 )
 from .geometry import SimplexPartition, voronoi_partition
 from .kernel import (
+    WEIGHT_BLOCK_BYTES,
     _check_bandwidth,
     _log_kernel_products,
     kappa_columns,
@@ -48,14 +55,6 @@ from .kernel import (
 )
 
 LL_RCOND = 1e-10
-# Bytes of one row block's bandwidth-free log-kernel and one bandwidth's
-# weights together (``weight_row_blocks(m, 2 * n)``): no NW/LL call holds
-# more of its m x n matrices.  Each (block, bandwidth) pair pays fixed numpy
-# work (moment columns, contraction set-up, the small tests and solves): on
-# a 2-vCPU x86 host, `fit` at n = 990 took 0.66-0.92 CPU s per command with
-# this budget, 1.02-1.26 s with 2 MiB and 0.74-1.04 s with one block per
-# call (two interleaved rounds of five commands each).
-WEIGHT_BLOCK_BYTES = 4 * 2**20
 
 GM = "GM"
 NW = "NW"
@@ -124,12 +123,27 @@ def gm_weight_matrix(
     estimates add up to at most ``relative_tolerance`` (the weights sum to 1)
     plus ``n * floor``, a tenth of the tolerance, and a GM estimate
     ``W @ y`` is within ``1.1 * relative_tolerance * max |y|`` of its exact
-    value, as far as the error estimates hold.
+    value, as far as the error estimates hold.  The degree-5/7 error
+    estimate can undershoot in the large weights: on the k = 7 mesh with
+    200 uniform points (seed 12) at b = 0.07, the m1 estimate is
+    ``1.142 * relative_tolerance * max |y|`` from an rtol-1e-5 oracle
+    (grading the roots toward the simplex edges at every bandwidth, a
+    ROADMAP item, is the likely mend).
 
     The points of a batch share each cell's refinement: a triangle is split
     when any point's integral needs it.  So a weight depends, within the
     cubature tolerance, on which other points share the call, though not on
     their order (permuting the points permutes the rows, up to rounding).
+
+    Cells that integrate the same points (after the pruning below) share
+    one first round, :func:`~simplexreg.cubature.integrate_cells_batch`,
+    in chunks of at most ``WEIGHT_BLOCK_BYTES / 8`` bytes of first-round
+    work; only a cell with a component that did not pass refines further.
+    A few points, as in ``clt_study`` or ``gm_estimate``, so take one
+    kernel evaluation for many cells, where a thousand points fill a chunk
+    with one cell, which is integrated on its own, as by
+    :func:`~simplexreg.cubature.integrate_polygon_batch`.  A weight is the
+    same either way, up to rounding in the order of the sums.
 
     A pair whose kernel is bounded (by concavity of the log-kernel, see
     :func:`~simplexreg.kernel.log_kappa_cell_bounds`) so far below the
@@ -148,16 +162,54 @@ def gm_weight_matrix(
     skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
     weights = np.zeros((m, len(partition)))
     converged = np.ones(len(partition), dtype=bool)
-    for j, cell in enumerate(cells):
-        keep = np.flatnonzero(~skip[:, j])
-        if keep.size == 0:
+    for keep, js in _shared_point_chunks(skip, cells, b):
+        f_keep = _columns_of(f_batch, keep)
+        if len(js) == 1:
+            (j,) = js
+            vals, _, ok, _ = integrate_polygon_batch(
+                f_keep, cells[j], keep.size, cfg, boundary_layer_scale=b
+            )
+            weights[keep, j] = np.maximum(vals, 0.0)
+            converged[j] = ok
             continue
-        vals, _, ok, _ = integrate_polygon_batch(
-            _columns_of(f_batch, keep), cell, keep.size, cfg, boundary_layer_scale=b
+        vals, ok = integrate_cells_batch(
+            f_keep, [cells[j] for j in js], keep.size, cfg, boundary_layer_scale=b
         )
-        weights[keep, j] = np.maximum(vals, 0.0)
-        converged[j] = ok
+        weights[np.ix_(keep, js)] = np.maximum(vals.T, 0.0)
+        converged[js] = ok
     return weights, converged
+
+
+def _shared_point_chunks(skip: np.ndarray, cells, b: float):
+    """``(keep, cells)`` pairs: the cells that integrate the same points
+    ``keep`` (every cell with any), in chunks whose first round takes at
+    most ``WEIGHT_BLOCK_BYTES / 8`` bytes, or single cells where one cell
+    takes more.  With a thousand points no two cells fit, so the study's
+    batches integrate cell by cell.
+    """
+    groups: dict[bytes, list[int]] = {}
+    sites = np.array([cell.site for cell in cells])
+    # cells by site, x then y: permuting the sites permutes the cells of a
+    # chunk and leaves its evaluation, and so every weight, bit for bit
+    order = [int(j) for j in np.lexsort((sites[:, 1], sites[:, 0])) if not skip[:, j].all()]
+    for j in order:
+        groups.setdefault(skip[:, j].tobytes(), []).append(j)
+    # every cell's roots at once, so that those not cached are graded together
+    roots = dict(zip(order, root_triangles([cells[j] for j in order], b)))
+    for js in groups.values():
+        keep = np.flatnonzero(~skip[:, js[0]])
+        # 19 rule points a triangle, each with 2 coordinates, the
+        # integrand's d + 2 = 4 log rows and one value per kept point
+        per_triangle = 19 * 8 * (2 + 4 + keep.size)
+        chunk, size = [], 0
+        for j in js:
+            cost = per_triangle * roots[j].shape[0]
+            if chunk and size + cost > WEIGHT_BLOCK_BYTES // 8:
+                yield keep, chunk
+                chunk, size = [], 0
+            chunk.append(j)
+            size += cost
+        yield keep, chunk
 
 
 def _columns_of(f_batch, keep: np.ndarray):

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSiteError, DomainError
-from .kernel import last_coordinate, validate_points
+from .kernel import WEIGHT_BLOCK_BYTES, last_coordinate, validate_points
 
 CLIP_TOL = 1e-12
 DEDUP_TOL = 1e-10
@@ -138,39 +138,54 @@ def mesh_design_points(k: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _clip_halfplane(vertices: np.ndarray, normal, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against n . x <= offset.
+def _clip_rings(rings: np.ndarray, counts: np.ndarray, normals: np.ndarray, offsets):
+    """Sutherland-Hodgman clip of convex rings, each against its own
+    half-plane ``normal . x <= offset``, in one array pass.
 
-    The vertex walk runs on Python floats: each step is the IEEE operation
-    numpy would do on one element, at a fraction of numpy's per-call cost.
+    ``rings`` (B, M, 2) holds ring i in its first ``counts[i]`` rows (the
+    rest is padding).  Returns ``(changed, clipped, sizes)``: the indices
+    of the rings the clip changes, and those rings clipped, padded to the
+    largest of their ``sizes``; every other ring lies inside its
+    half-plane, within ``CLIP_TOL`` relative to its largest bisector value,
+    and stays as it is.  A vertex walk visits each vertex in turn, keeping
+    it if inside and then the crossing of its edge to the next vertex if
+    the edge crosses the line; the same IEEE operations run here on arrays,
+    so a clip gives the walk's bits.  The bisector values are one stacked
+    ``matmul``: each row is the matrix-vector product of its ring alone.
     """
-    if vertices.shape[0] == 0:
-        return vertices
-    f = (vertices @ normal - offset).tolist()
-    tol = CLIP_TOL * max(1.0, max(map(abs, f)))
-    ins = [v <= tol for v in f]
-    if all(ins):
-        return vertices
-    pts = vertices.tolist()
-    out: list[list[float]] = []
-    for i in range(len(pts)):
-        j = i + 1 if i + 1 < len(pts) else 0
-        if ins[i]:
-            out.append(pts[i])
-        if ins[i] != ins[j]:
-            (xi, yi), (xj, yj) = pts[i], pts[j]
-            t = f[i] / (f[i] - f[j])
-            out.append([xi + t * (xj - xi), yi + t * (yj - yi)])
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def _radius(vertices: np.ndarray, s) -> float:
-    """``max_v |v - s|`` for ``s = (x, y)``, on Python floats as in
-    :func:`_clip_halfplane`."""
-    sx, sy = s
-    return math.sqrt(
-        max((x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y in vertices.tolist())
-    )
+    M = rings.shape[1]
+    f = np.matmul(rings, normals[:, :, None])[:, :, 0]
+    f -= offsets[:, None]
+    pad = np.arange(M) >= counts[:, None]
+    scale = np.abs(f)
+    scale[pad] = 0.0
+    tol = CLIP_TOL * np.maximum(1.0, scale.max(axis=1))
+    inside = f <= tol[:, None]
+    inside[pad] = True
+    changed = np.flatnonzero(~inside.all(axis=1))
+    if changed.size == 0:
+        return changed, rings[:0], counts[:0]
+    rings, f, inside, counts = rings[changed], f[changed], inside[changed], counts[changed]
+    # whether the next vertex around the ring is inside; padding stays
+    # inside, so no edge crosses there
+    inside_next = np.ones_like(inside)
+    inside_next[:, :-1] = inside[:, 1:]
+    inside_next[np.arange(changed.size), counts - 1] = inside[:, 0]
+    cross = inside != inside_next
+    keep = inside & ~pad[changed]
+    # each vertex writes itself if kept, then its edge's crossing
+    end = np.cumsum(keep.view(np.int8) + cross.view(np.int8), axis=1, dtype=np.intp)
+    sizes = end[:, -1]
+    out = np.zeros((changed.size, sizes.max(), 2))
+    row, col = np.nonzero(keep)
+    out[row, end[row, col] - 1 - cross[row, col]] = rings[row, col]
+    row, col = np.nonzero(cross)
+    col_next = np.where(col + 1 < counts[row], col + 1, 0)
+    fi, fj = f[row, col], f[row, col_next]
+    t = fi / (fi - fj)
+    a = rings[row, col]
+    out[row, end[row, col] - 1] = a + t[:, None] * (rings[row, col_next] - a)
+    return changed, out, sizes
 
 
 def _dedup_ring(vertices: np.ndarray) -> np.ndarray:
@@ -194,6 +209,72 @@ def _dedup_ring(vertices: np.ndarray) -> np.ndarray:
     return np.array(keep)
 
 
+def _reach(rings: np.ndarray, counts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_SKIP_MARGIN * 2 * max_v |v - s|`` over each ring's vertices, for
+    the sites ``s`` (B, 2)."""
+    d = rings - s[:, None, :]
+    r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    r2[np.arange(rings.shape[1]) >= counts[:, None]] = 0.0
+    return _SKIP_MARGIN * 2.0 * np.sqrt(r2.max(axis=1, initial=0.0))
+
+
+def _nearest_first_cells(S: np.ndarray, by_xy: np.ndarray, sq, domain) -> list[np.ndarray]:
+    """:func:`voronoi_cell` of each site of ``S``, all of them among the
+    sites ``by_xy`` (sorted by x, then y, with ``sq[k] = by_xy[k] @
+    by_xy[k]``), walked in lockstep.
+
+    A stable sort by distance visits each site itself first and the others
+    by distance, x and y.  Step k clips every cell still walking against
+    the bisector of its k-th site, in one :func:`_clip_rings` call; a cell
+    stops at its first site beyond its reach or when fewer than three
+    vertices are left.
+    """
+    B = S.shape[0]
+    diff = by_xy[None, :, :] - S[:, None, :]
+    diff *= diff
+    dists = diff[..., 0] + diff[..., 1]  # as np.linalg.norm(..., axis=-1)
+    del diff
+    np.sqrt(dists, out=dists)
+    order = np.argsort(dists, axis=1, kind="stable")
+    if by_xy.shape[0] > 1:
+        nearest = np.take_along_axis(dists, order[:, 1:2], axis=1)[:, 0]
+        if (nearest <= 1e-12).any():
+            raise DegenerateSiteError(f"coincident sites at {S[np.argmax(nearest <= 1e-12)]}")
+    ss = np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]
+    domain = np.asarray(domain, dtype=float)
+    rings = np.repeat(domain[None], B, axis=0)
+    counts = np.full(B, domain.shape[0])
+    reach = _reach(rings, counts, S)
+    live = np.arange(B)
+    for k in range(1, by_xy.shape[0]):
+        live = live[dists[live, order[live, k]] <= reach[live]]
+        if live.size == 0:
+            break
+        t = order[live, k]
+        # points closer to s than t: (t - s) . x <= (|t|^2 - |s|^2) / 2
+        changed, clipped, sizes = _clip_rings(
+            rings[live], counts[live], by_xy[t] - S[live], 0.5 * (sq[t] - ss[live])
+        )
+        if changed.size == 0:
+            continue
+        cells = live[changed]
+        if clipped.shape[1] > rings.shape[1]:
+            pad = np.zeros((B, clipped.shape[1] - rings.shape[1], 2))
+            rings = np.concatenate([rings, pad], axis=1)
+        rings[cells, : clipped.shape[1]] = clipped
+        counts[cells] = sizes
+        reach[cells] = _reach(clipped, sizes, S[cells])
+        live = live[counts[live] >= 3]
+    return [_dedup_ring(ring[:count]) for ring, count in zip(rings, counts)]
+
+
+def _sorted_sites(sites: np.ndarray):
+    """The sites by x, then y, and each one's ``t @ t`` (a stacked
+    ``matmul``, which gives the bits of the per-site ``@``)."""
+    by_xy = sites[np.lexsort((sites[:, 1], sites[:, 0]))]
+    return by_xy, np.matmul(by_xy[:, None, :], by_xy[:, :, None])[:, 0, 0]
+
+
 def voronoi_cell(site, other_sites, domain: np.ndarray = SIMPLEX_TRIANGLE) -> np.ndarray:
     """Vertices of the Voronoi region of ``site`` clipped to ``domain``.
 
@@ -209,54 +290,32 @@ def voronoi_cell(site, other_sites, domain: np.ndarray = SIMPLEX_TRIANGLE) -> np
     after each clip that changes it.  Near sites cut the cell down first,
     so on a mesh or a uniform sample a cell takes about a dozen clips
     whatever the number of sites; what grows with n is the distance sort,
-    O(n log n) per cell in numpy.
+    O(n log n) per cell.
     """
-    s = np.asarray(site, dtype=float)
+    s = np.asarray(site, dtype=float).reshape(1, 2)
     sites = np.vstack([np.asarray(other_sites, dtype=float).reshape(-1, 2), s])
-    by_xy = sites[np.lexsort((sites[:, 1], sites[:, 0]))]
-    return _nearest_first_cell(s, by_xy, domain)
-
-
-def _nearest_first_cell(s: np.ndarray, by_xy: np.ndarray, domain) -> np.ndarray:
-    """:func:`voronoi_cell` for all sites, ``s`` among them, already sorted
-    by x, then y: a stable sort by distance then visits ``s`` first and the
-    others by distance, x and y.  The walk's scalars are Python floats; the
-    bisector values stay one numpy product per clip."""
-    poly = np.asarray(domain, dtype=float)
-    to_sites = by_xy - s
-    dists = np.linalg.norm(to_sites, axis=1)
-    order = np.argsort(dists, kind="stable").tolist()
-    dists = dists.tolist()
-    if len(order) > 1 and dists[order[1]] <= 1e-12:
-        raise DegenerateSiteError(f"coincident sites at {s}")
-    s_xy, ss = s.tolist(), s @ s
-    reach = _SKIP_MARGIN * 2.0 * _radius(poly, s_xy)
-    for k in order[1:]:
-        if dists[k] > reach:
-            break
-        t = by_xy[k]
-        # points closer to s than t: (t - s) . x <= (|t|^2 - |s|^2) / 2
-        clipped = _clip_halfplane(poly, to_sites[k], 0.5 * (t @ t - ss))
-        if clipped is poly:
-            continue
-        poly = clipped
-        if poly.shape[0] < 3:
-            break
-        reach = _SKIP_MARGIN * 2.0 * _radius(poly, s_xy)
-    return _dedup_ring(poly)
+    return _nearest_first_cells(s, *_sorted_sites(sites), domain)[0]
 
 
 def voronoi_partition(sites) -> SimplexPartition:
     """Voronoi partition of the simplex triangle for distinct interior sites.
 
-    Permuting the sites permutes the cells: each cell is the same polygon,
-    bit for bit, whatever the order of the sites.
+    Every cell is :func:`voronoi_cell` of its site against the others, and
+    the cells walk in lockstep, one row block of sites at a time: a block's
+    coordinate differences to all n sites, from which its distances and
+    visiting order come, take at most ``WEIGHT_BLOCK_BYTES``, so memory
+    stays bounded however many sites there are.  Permuting the sites
+    permutes the cells: each cell is the same polygon, bit for bit,
+    whatever the order of the sites or the blocks.
     """
     pts = validate_points(sites, dim=2)
-    by_xy = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # the sites by x, then y
+    by_xy, sq = _sorted_sites(pts)
+    rows = max(1, WEIGHT_BLOCK_BYTES // (16 * pts.shape[0]))
+    rings = []
+    for lo in range(0, pts.shape[0], rows):
+        rings += _nearest_first_cells(pts[lo : lo + rows], by_xy, sq, SIMPLEX_TRIANGLE)
     cells = []
-    for i, s in enumerate(pts):
-        verts = _nearest_first_cell(s, by_xy, SIMPLEX_TRIANGLE)
+    for i, (s, verts) in enumerate(zip(pts, rings)):
         if verts.shape[0] < 3:
             raise DegenerateSiteError(f"site {i} produced an empty cell")
         cells.append(ConvexCell(vertices=verts, site=s))

@@ -23,6 +23,17 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 POINT_TOL = 1e-12
+# Bytes of one row block of an m x n array, m points against n sites: no
+# call holds more of such arrays at once.  The NW/LL paths
+# (``estimators.weight_row_blocks(m, 2 * n)``) hold a block's
+# bandwidth-free log-kernel and one bandwidth's weights together, and
+# ``geometry.voronoi_partition`` a block's coordinate differences.  Each NW/LL
+# (block, bandwidth) pair pays fixed numpy work (moment columns, contraction
+# set-up, the small tests and solves): on a 2-vCPU x86 host, `fit` at
+# n = 990 took 0.66-0.92 CPU s per command with this budget, 1.02-1.26 s
+# with 2 MiB and 0.74-1.04 s with one block per call (two interleaved
+# rounds of five commands each).
+WEIGHT_BLOCK_BYTES = 4 * 2**20
 
 
 def validate_points(points, dim: int | None = None) -> np.ndarray:

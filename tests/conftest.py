@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from simplexreg import estimators, mesh_design_points, voronoi_partition
 from simplexreg.app import barycentric_grid
+from simplexreg.cubature import _tri_areas, fan_triangulation
+from simplexreg.geometry import CLIP_TOL, DEDUP_TOL, SIMPLEX_TRIANGLE
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +75,99 @@ def peak_traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def clip_halfplane_oracle(vertices, normal, offset):
+    """Sutherland-Hodgman clip of a convex ring against ``normal . x <=
+    offset``, its vertex walk on numpy rows; a ring inside the half-plane
+    comes back as the same object."""
+    if vertices.shape[0] == 0:
+        return vertices
+    values = vertices @ normal - offset
+    scale = max(1.0, float(np.abs(values).max()))
+    inside = values <= CLIP_TOL * scale
+    if np.all(inside):
+        return vertices
+    out = []
+    m = vertices.shape[0]
+    for i in range(m):
+        j = (i + 1) % m
+        vi, vj = vertices[i], vertices[j]
+        fi, fj = values[i], values[j]
+        if inside[i]:
+            out.append(vi)
+        if inside[i] != inside[j]:
+            t = fi / (fi - fj)
+            out.append(vi + t * (vj - vi))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def dedup_ring_oracle(vertices, tol=DEDUP_TOL):
+    """The ring deduplication on numpy rows."""
+    if vertices.shape[0] == 0:
+        return vertices
+    keep = [vertices[0]]
+    for v in vertices[1:]:
+        if np.linalg.norm(v - keep[-1]) > tol:
+            keep.append(v)
+    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= tol:
+        keep.pop()
+    return np.array(keep)
+
+
+def nearest_first_cell_oracle(s, sites, domain=SIMPLEX_TRIANGLE):
+    """The Voronoi cell of ``s`` (one of ``sites``) by a scalar vertex walk
+    on numpy rows: the sites by distance, then x, then y, each clipped in
+    turn, until the next site is beyond twice the cell's radius (times
+    1 + 1e-9).  Returns the deduplicated ring and the number of clips that
+    changed the cell."""
+    by_xy = sites[np.lexsort((sites[:, 1], sites[:, 0]))]
+    to_sites = by_xy - s
+    dists = np.linalg.norm(to_sites, axis=1)
+    poly, changes = domain, 0
+    reach = (1.0 + 1e-9) * 2.0 * np.sqrt(((poly - s) ** 2).sum(axis=1)).max()
+    for k in np.argsort(dists, kind="stable")[1:]:
+        if dists[k] > reach:
+            break
+        t = by_xy[k]
+        clipped = clip_halfplane_oracle(poly, to_sites[k], 0.5 * (t @ t - s @ s))
+        if clipped is poly:
+            continue
+        poly, changes = clipped, changes + 1
+        if poly.shape[0] < 3:
+            break
+        reach = (1.0 + 1e-9) * 2.0 * np.sqrt(((poly - s) ** 2).sum(axis=1)).max()
+    return dedup_ring_oracle(poly), changes
+
+
+def split_at_line_oracle(polys, normal, offset):
+    """Every piece clipped on both sides by :func:`clip_halfplane_oracle`,
+    areas from fan triangles."""
+    out = []
+    for poly in polys:
+        lo = dedup_ring_oracle(clip_halfplane_oracle(poly, normal, offset))
+        hi = dedup_ring_oracle(clip_halfplane_oracle(poly, -normal, -offset))
+        pieces = [
+            p
+            for p in (lo, hi)
+            if p.shape[0] >= 3 and _tri_areas(fan_triangulation(p)).sum() > 1e-16
+        ]
+        out.extend(pieces if pieces else [poly])
+    return out
+
+
+def graded_roots_oracle(vertices, scale):
+    """Graded root triangles by :func:`split_at_line_oracle`: bands at
+    ``scale * 4^k`` (up to 0.2) from each simplex edge, then centroid fans."""
+    polys = [np.asarray(vertices, dtype=float)]
+    for normal in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])):
+        base = -1.0 if normal[0] < 0 else 0.0
+        for k in range(12):
+            level = base + scale * 4.0**k
+            if level - base > 0.2:
+                break
+            polys = split_at_line_oracle(polys, normal, level)
+    return np.concatenate([fan_triangulation(p) for p in polys])
 
 
 def shrunken_psi_integral(eps):

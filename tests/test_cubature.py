@@ -18,20 +18,21 @@ from simplexreg.cubature import (
     _NQ,
     _W5,
     _W7,
-    _cached_graded_roots,
     _eval_rules,
+    _graded_roots,
     _split_longest_edge,
     _tri_areas,
     fan_triangulation,
     graded_simplex_roots,
     integrate_polygon_batch,
+    root_triangles,
     shrunken_simplex_triangle,
 )
 from simplexreg.errors import MismatchError
-from simplexreg.geometry import SIMPLEX_TRIANGLE, _clip_halfplane, _dedup_ring
+from simplexreg.geometry import SIMPLEX_TRIANGLE
 from simplexreg.kernel import kappa_columns
 
-from conftest import shrunken_psi_integral
+from conftest import graded_roots_oracle, shrunken_psi_integral
 
 
 def monomial_exact(p, q):
@@ -65,19 +66,6 @@ def eval_rules_oracle(f_batch, coords, cols):
     both = np.tensordot(vals, np.column_stack([_W7, _W7 - _W5]), axes=([1], [0]))
     scale = np.tensordot(np.abs(vals), np.abs(_W7 - _W5), axes=([1], [0])) * areas
     return both[:, :, 0] * areas, np.abs(both[:, :, 1]) * areas, scale
-
-
-def split_at_line_oracle(polys, normal, offset):
-    """Every piece clipped on both sides, areas from fan triangles."""
-    out = []
-    for poly in polys:
-        lo = _dedup_ring(_clip_halfplane(poly, normal, offset))
-        hi = _dedup_ring(_clip_halfplane(poly, -normal, -offset))
-        pieces = [p for p in (lo, hi) if p.shape[0] >= 3 and _tri_areas(
-            fan_triangulation(p)
-        ).sum() > 1e-16]
-        out.extend(pieces if pieces else [poly])
-    return out
 
 
 def split_longest_edge_oracle(coords):
@@ -349,10 +337,9 @@ class TestBatchEngine:
 
     def test_graded_roots_are_reused_read_only(self, partition7):
         cell = partition7.cells[0]
-        key = (np.ascontiguousarray(cell.vertices).tobytes(), 0.05)
-        roots = _cached_graded_roots(*key)
+        (roots,) = root_triangles([cell], 0.05)
         assert np.array_equal(roots, graded_simplex_roots(cell.vertices, 0.05))
-        assert _cached_graded_roots(*key) is roots
+        assert root_triangles([cell.vertices.copy()], 0.05)[0] is roots
         assert not roots.flags.writeable
 
         centers = np.array([[0.1, 0.8], [0.05, 0.9]])
@@ -365,21 +352,17 @@ class TestBatchEngine:
         assert np.array_equal(first[0], again[0]) and first[2:] == again[2:]
 
     @pytest.mark.parametrize("k", [7, 10])
-    def test_graded_roots_match_clip_everything_oracle(self, k, request, monkeypatch):
+    def test_graded_roots_match_clip_everything_oracle(self, k, request):
+        # all cells of a partition graded together, each line one clip call
+        # for every piece of every cell, against each cell on its own
         partition = request.getfixturevalue(f"partition{k}")
         grid = default_grid()[::4]
         assert grid.size == 10
-        roots = [
-            graded_simplex_roots(cell.vertices, float(b))
-            for b in grid
-            for cell in partition.cells
-        ]
-        monkeypatch.setattr(cubature, "_split_at_line", split_at_line_oracle)
-        expected = [
-            graded_simplex_roots(cell.vertices, float(b))
-            for b in grid
-            for cell in partition.cells
-        ]
+        cells = [cell.vertices for cell in partition.cells]
+        roots = [r for b in grid for r in _graded_roots(cells, float(b))]
+        expected = [graded_roots_oracle(v, float(b)) for b in grid for v in cells]
+        assert len(roots) == len(expected) == 10 * len(cells)
+        assert sum(r.shape[0] > v.shape[0] for r, v in zip(roots, cells * 10)) > len(cells)
         assert all(np.array_equal(r, e) for r, e in zip(roots, expected))
 
     def test_fan_triangulation_matches_stacked_form(self, partition7):

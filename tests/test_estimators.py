@@ -29,8 +29,13 @@ from simplexreg.errors import (
     InsufficientDataError,
     MismatchError,
 )
-from simplexreg.cubature import integrate_polygon_batch
-from simplexreg.kernel import kappa_columns, log_kappa_matrix, validate_points
+from simplexreg.cubature import integrate_polygon_batch, negligible_components
+from simplexreg.kernel import (
+    kappa_columns,
+    log_kappa_cell_bounds,
+    log_kappa_matrix,
+    validate_points,
+)
 
 from conftest import edge_design, force_blocks, peak_traced_bytes, random_interior_points
 
@@ -154,6 +159,48 @@ class TestGm:
             assert pruned.mean() > 0.2
         kept = ~pruned
         assert_allclose(W[kept], np.maximum(oracle[kept], 0.0), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "count, b",
+        [(1, 0.01), (1, 0.2), (1, 1.0), (10, 0.1), (200, 0.005)],
+        ids=["one-0.01", "one-0.2", "one-1", "ten-0.1", "batch200-0.005"],
+    )
+    def test_grouped_first_round_matches_cell_by_cell(self, partition14, count, b, monkeypatch):
+        # oracle: each cell integrated on its own for every point at the GM
+        # floor, as in test_pruned_pairs_were_below_the_floor
+        cfg = CubatureConfig()
+        n = len(partition14)
+        gm_cfg = replace(cfg, absolute_floor=cfg.relative_tolerance / (10 * n))
+        S = [[1 / 3, 1 / 3]] if count == 1 else uniform_simplex_sample(count, 12)
+        S = validate_points(S)
+        f_batch = kappa_columns(S, b)
+        runs = [
+            integrate_polygon_batch(f_batch, cell, len(S), gm_cfg, boundary_layer_scale=b)
+            for cell in partition14.cells
+        ]
+        oracle = np.column_stack([run[0] for run in runs])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return integrate_polygon_batch(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "integrate_polygon_batch", counted)
+        W, converged = gm_weight_matrix(partition14, b, S, cfg)
+        assert np.array_equal(converged, [run[2] for run in runs])
+        kept = W > 0.0
+        assert np.abs(W[kept] - oracle[kept]).max() <= 1e-15
+        assert np.all(oracle[~kept] < gm_cfg.absolute_floor)
+        bounds = log_kappa_cell_bounds(S, b, [c.vertices for c in partition14.cells])
+        skip = negligible_components(bounds, [c.area for c in partition14.cells], gm_cfg)
+        kept_sets = {skip[:, j].tobytes() for j in range(n) if not skip[:, j].all()}
+        if count <= 10:
+            # few points: cells share their kept points, so few integrate alone
+            assert len(calls) < n // 4
+        else:
+            # the kept sets differ, and the big batch integrates cell by cell
+            assert len(kept_sets) > n // 2
+            assert len(calls) == (~skip.all(axis=0)).sum()
 
     @pytest.mark.parametrize("b, fixed_floor_err", [(0.01, 0.745), (0.07, 0.997), (0.4, 0.704)])
     def test_estimates_match_a_tight_oracle(self, mesh7, partition7, b, fixed_floor_err):

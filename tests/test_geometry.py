@@ -15,58 +15,29 @@ from simplexreg import (
     uniform_simplex_sample,
     voronoi_partition,
 )
-from simplexreg import cubature, geometry
+from simplexreg import geometry
 from simplexreg.bandwidth import default_grid
 from simplexreg.cubature import graded_simplex_roots
 from simplexreg.errors import DegenerateSiteError, DomainError
 from simplexreg.geometry import (
-    CLIP_TOL,
-    DEDUP_TOL,
     SIMPLEX_TRIANGLE,
-    _clip_halfplane,
+    _clip_rings,
     _dedup_ring,
     _edge_crosses,
     _point_strictly_inside,
-    _radius,
+    _reach,
     _shifted,
     voronoi_cell,
 )
+from simplexreg.kernel import WEIGHT_BLOCK_BYTES
 
-
-def clip_halfplane_oracle(vertices, normal, offset):
-    """The clip with its vertex walk on numpy rows, kept as an oracle."""
-    if vertices.shape[0] == 0:
-        return vertices
-    values = vertices @ normal - offset
-    scale = max(1.0, float(np.abs(values).max()))
-    inside = values <= CLIP_TOL * scale
-    if np.all(inside):
-        return vertices
-    out = []
-    m = vertices.shape[0]
-    for i in range(m):
-        j = (i + 1) % m
-        vi, vj = vertices[i], vertices[j]
-        fi, fj = values[i], values[j]
-        if inside[i]:
-            out.append(vi)
-        if inside[i] != inside[j]:
-            t = fi / (fi - fj)
-            out.append(vi + t * (vj - vi))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def dedup_ring_oracle(vertices, tol=DEDUP_TOL):
-    """The ring deduplication on numpy rows, kept as an oracle."""
-    if vertices.shape[0] == 0:
-        return vertices
-    keep = [vertices[0]]
-    for v in vertices[1:]:
-        if np.linalg.norm(v - keep[-1]) > tol:
-            keep.append(v)
-    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= tol:
-        keep.pop()
-    return np.array(keep)
+from conftest import (
+    clip_halfplane_oracle,
+    dedup_ring_oracle,
+    graded_roots_oracle,
+    nearest_first_cell_oracle,
+    peak_traced_bytes,
+)
 
 
 def index_order_cell(s, others):
@@ -77,7 +48,7 @@ def index_order_cell(s, others):
     for t, dist in zip(others, np.linalg.norm(others - s, axis=1)):
         if dist > reach:
             continue
-        clipped = _clip_halfplane(poly, t - s, 0.5 * (t @ t - s @ s))
+        clipped = clip_halfplane_oracle(poly, t - s, 0.5 * (t @ t - s @ s))
         if clipped is poly:
             continue
         poly = clipped
@@ -87,18 +58,18 @@ def index_order_cell(s, others):
     return _dedup_ring(poly)
 
 
+def random_convex_ring(rng):
+    """3 to 8 points on a circle of radius 0.3, counterclockwise."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
+    return rng.uniform(0.2, 0.8, 2) + 0.3 * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 SITE_SETS = pytest.mark.parametrize(
     "sites",
     [mesh_design_points(k) for k in (7, 10, 14, 20)]
     + [uniform_simplex_sample(200, seed) for seed in (1, 2, 3)],
     ids=["mesh7", "mesh10", "mesh14", "mesh20", "unif1", "unif2", "unif3"],
 )
-
-
-def patch_oracle_clip(monkeypatch):
-    for module in (geometry, cubature):
-        monkeypatch.setattr(module, "_clip_halfplane", clip_halfplane_oracle)
-        monkeypatch.setattr(module, "_dedup_ring", dedup_ring_oracle)
 
 
 class TestMeshDesignPoints:
@@ -182,12 +153,13 @@ class TestVoronoiPartition:
             dists = np.linalg.norm(others - s, axis=1)
             poly = SIMPLEX_TRIANGLE
             for t in others[np.lexsort((others[:, 1], others[:, 0], dists))]:
-                poly = _clip_halfplane(poly, t - s, 0.5 * (t @ t - s @ s))
+                poly = clip_halfplane_oracle(poly, t - s, 0.5 * (t @ t - s @ s))
                 if poly.shape[0] < 3:
                     break
-            return _dedup_ring(poly)
+            return dedup_ring_oracle(poly)
 
         part = voronoi_partition(sites)
+        assert len(part.cells) == len(sites)
         for i, cell in enumerate(part.cells):
             assert np.array_equal(cell.vertices, plain_cell(i))
 
@@ -222,70 +194,103 @@ class TestVoronoiPartition:
     )
     def test_nearest_first_walk_stops_early(self, sites, limit, monkeypatch):
         # clipping against every site within reach in index order takes
-        # 5,879 clips on mesh14 and ~54 per cell on 1,000 uniform sites
-        calls = []
+        # 5,879 clips on mesh14 and ~54 per cell on 1,000 uniform sites;
+        # a lockstep step clips each of its rings once
+        clips = []
 
-        def counted(*args):
-            calls.append(None)
-            return _clip_halfplane(*args)
+        def counted(rings, counts, normals, offsets):
+            clips.append(counts.size)
+            return _clip_rings(rings, counts, normals, offsets)
 
-        monkeypatch.setattr(geometry, "_clip_halfplane", counted)
+        monkeypatch.setattr(geometry, "_clip_rings", counted)
         voronoi_partition(sites)
-        assert len(calls) <= limit
+        assert len(sites) <= sum(clips) <= limit
 
     @pytest.mark.parametrize("k", [10, 14])
-    def test_cells_match_numpy_vertex_walk_oracle(self, k, monkeypatch):
+    def test_cells_match_numpy_vertex_walk_oracle(self, k):
         sites = mesh_design_points(k)
         cells = voronoi_partition(sites).cells
-        patch_oracle_clip(monkeypatch)
-        expected = voronoi_partition(sites).cells
-        assert all(np.array_equal(c.vertices, e.vertices) for c, e in zip(cells, expected))
+        expected = [nearest_first_cell_oracle(s, sites) for s in sites]
+        assert len(cells) == len(expected) == len(sites)
+        # every cell is cut from the triangle, most by several clips
+        assert min(changes for _, changes in expected) >= 2
+        assert all(np.array_equal(c.vertices, e) for c, (e, _) in zip(cells, expected))
 
-    def test_graded_roots_match_numpy_vertex_walk_oracle(self, partition10, monkeypatch):
+    def test_graded_roots_match_numpy_vertex_walk_oracle(self, partition10):
         grid = default_grid()[::4]
         pairs = [(cell.vertices, float(b)) for b in grid for cell in partition10.cells]
         roots = [graded_simplex_roots(v, b) for v, b in pairs]
-        patch_oracle_clip(monkeypatch)
-        expected = [graded_simplex_roots(v, b) for v, b in pairs]
+        expected = [graded_roots_oracle(v, b) for v, b in pairs]
+        assert len(roots) == len(expected) == 10 * len(partition10)
+        # the bands cut many cells, so the clips are exercised
+        fans = sum(r.shape[0] > v.shape[0] for r, (v, _) in zip(roots, pairs))
+        assert fans > len(pairs) // 4
         assert all(np.array_equal(r, e) for r, e in zip(roots, expected))
 
     def test_clip_and_dedup_match_numpy_vertex_walk_oracle(self):
         rng = np.random.default_rng(8)
-        for _ in range(300):
-            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
-            poly = rng.uniform(0.2, 0.8, 2) + 0.3 * np.column_stack(
-                [np.cos(angles), np.sin(angles)]
-            )
-            normal = rng.normal(size=2)
+        clipped_some = 0
+        for _ in range(60):
+            polys = [random_convex_ring(rng) for _ in range(rng.integers(1, 9))]
+            normals = rng.normal(size=(len(polys), 2))
             # lines through the polygon, through a vertex, and missing it
-            for offset in (poly[rng.integers(len(poly))] @ normal, rng.normal()):
-                clipped = _clip_halfplane(poly, normal, offset)
-                assert np.array_equal(clipped, clip_halfplane_oracle(poly, normal, offset))
+            offsets = np.array(
+                [
+                    poly[rng.integers(len(poly))] @ normal
+                    if rng.uniform() < 0.5
+                    else (poly.mean(axis=0) @ normal + rng.normal(scale=0.3))
+                    for poly, normal in zip(polys, normals)
+                ]
+            )
+            counts = np.array([len(p) for p in polys])
+            rings = np.zeros((len(polys), counts.max() + rng.integers(0, 3), 2))
+            for ring, poly in zip(rings, polys):
+                ring[: len(poly)] = poly
+            # padding the clip must ignore
+            rings[np.arange(rings.shape[1]) >= counts[:, None]] = rng.normal(size=2)
+            changed, clipped, sizes = _clip_rings(rings, counts, normals, offsets)
+            got = {int(i): ring[:size] for i, ring, size in zip(changed, clipped, sizes)}
+            for i, (poly, normal, offset) in enumerate(zip(polys, normals, offsets)):
+                expected = clip_halfplane_oracle(poly, normal, offset)
+                assert (expected is poly) == (i not in got)
+                if i in got:
+                    clipped_some += 1
+                    assert np.array_equal(got[i], expected)
             # near-duplicate vertices, across the ring's closing edge too
+            poly = polys[0]
             ring = np.repeat(poly, rng.integers(1, 3, len(poly)), axis=0)
             ring = np.roll(ring, -1, axis=0) + rng.choice([0.0, 3e-11, 2e-10], ring.shape)
             assert np.array_equal(_dedup_ring(ring), dedup_ring_oracle(ring))
+        assert clipped_some > 100
 
     def test_radius_and_site_test_match_numpy_forms(self):
-        # the walk's radius and the cell's site test run on Python floats;
-        # they keep the bits and the decisions of their numpy forms
+        # the walk's reach, on padded rings, and the cell's site test, on
+        # Python floats, keep the bits and the decisions of their numpy forms
         rng = np.random.default_rng(9)
         for _ in range(300):
-            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 9)))
-            poly = rng.uniform(0.2, 0.8, 2) + 0.3 * np.column_stack(
-                [np.cos(angles), np.sin(angles)]
-            )
+            poly = random_convex_ring(rng)
             a, b = poly, np.roll(poly, -1, axis=0)
             # a point inside, one anywhere, and one on an edge
             on_edge = a[0] + rng.uniform() * (b[0] - a[0])
-            for p in (poly.mean(axis=0), rng.uniform(0.0, 1.0, 2), on_edge):
+            points = np.array([poly.mean(axis=0), rng.uniform(0.0, 1.0, 2), on_edge])
+            rings = np.full((3, len(poly) + 2, 2), 5.0)
+            rings[:, : len(poly)] = poly
+            reach = _reach(rings, np.full(3, len(poly)), points)
+            for p, got in zip(points, reach):
                 radius = np.sqrt(((poly - p) ** 2).sum(axis=1)).max()
-                assert _radius(poly, p.tolist()) == radius
+                assert got == (1.0 + 1e-9) * 2.0 * radius
                 cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
                     p[0] - a[:, 0]
                 )
                 inside = bool(np.all(cross > 1e-12 * np.linalg.norm(b - a, axis=1)))
                 assert _point_strictly_inside(p.tolist(), poly) == inside
+
+    def test_partition_memory_stays_within_row_blocks(self):
+        sites = uniform_simplex_sample(2000, 4)
+        peak, part = peak_traced_bytes(lambda: voronoi_partition(sites))
+        assert len(part) == 2000
+        # one 2000 x 2000 block of coordinate differences would be 64 MB
+        assert peak < 3 * WEIGHT_BLOCK_BYTES
 
     def test_point_location_consistency(self, partition7):
         pts = uniform_simplex_sample(10_000, 5150)

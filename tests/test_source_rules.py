@@ -58,3 +58,53 @@ def test_no_broad_except_hides_an_error(path):
 def test_rule_sees_broad_handlers(source, hides):
     (handler,) = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ExceptHandler)]
     assert (_is_broad(handler) and not _reraises(handler)) == hides
+
+
+def _module_level_scipy_imports(tree: ast.Module) -> list[int]:
+    """Lines of the scipy imports that run when the module is imported:
+    every one outside a function body (class bodies and ``try`` blocks at
+    the top run on import)."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_inside_functions(path):
+    # importing the package must not load scipy: `simplexreg fit` never
+    # calls it, and loading scipy.special added 18.6 MiB to its peak RSS
+    lines = _module_level_scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert lines == [], f"{path.name}: module-level scipy import at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import scipy\n", True),
+        ("from scipy.special import gammaln\n", True),
+        ("import numpy as np, scipy.stats as st\n", True),
+        ("try:\n    import scipy\nexcept ImportError:\n    scipy = None\n", True),
+        ("class A:\n    from scipy import special\n", True),
+        ("def f():\n    from scipy.special import gammaln\n    return gammaln\n", False),
+        ("class A:\n    def f(self):\n        import scipy\n", False),
+        ("async def f():\n    import scipy.stats\n", False),
+        ("import scipyx\nfrom .scipy import x\n", False),
+    ],
+)
+def test_rule_sees_module_level_scipy_imports(source, flagged):
+    assert bool(_module_level_scipy_imports(ast.parse(source))) == flagged
