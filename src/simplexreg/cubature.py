@@ -39,6 +39,7 @@ from .geometry import (
     _shifted,
     cell_area,
 )
+from .kernel import WEIGHT_BLOCK_BYTES
 
 # Hard safety valve against pathological integrands; generous enough that a
 # smooth integrand at the default tolerances never gets close.
@@ -338,10 +339,12 @@ def _graded_roots(cells: list[np.ndarray], scale: float) -> list[np.ndarray]:
     return [np.concatenate(f) for f in fans]
 
 
-# Root triangulations kept, by cell vertex bytes and scale, the oldest
-# dropped first: the roots depend only on the cell and the scale, and a
-# study integrates over the same cells at the same bandwidths in every
-# replication.
+# Root triangulations kept, by cell vertex bytes and scale, the least
+# recently used dropped first: the roots depend only on the cell and the
+# scale, and a study integrates over the same cells at the same bandwidths
+# in every replication.  Each access is one dict operation (a hit is popped
+# and put back, so it moves to the end), so callers on several threads at
+# worst grade a cell twice.
 _ROOTS_CACHE_SIZE = 8192
 _roots_cache: dict[tuple[bytes, float], np.ndarray] = {}
 
@@ -358,15 +361,20 @@ def root_triangles(cells, boundary_layer_scale: float = 0.0) -> list[np.ndarray]
     for cell in cells:
         verts = cell.vertices if isinstance(cell, ConvexCell) else np.asarray(cell, float)
         keys.append((np.ascontiguousarray(verts, dtype=float).tobytes(), scale))
-    found = {key: _roots_cache.get(key) for key in keys}
+    found = dict.fromkeys(keys)
+    for key in found:
+        found[key] = _roots_cache.pop(key, None)
     todo = [key for key, roots in found.items() if roots is None]
     if todo:
         rings = [np.frombuffer(vertex_bytes).reshape(-1, 2) for vertex_bytes, _ in todo]
         for key, roots in zip(todo, _graded_roots(rings, scale)):
             roots.setflags(write=False)
-            found[key] = _roots_cache[key] = roots
-            if len(_roots_cache) > _ROOTS_CACHE_SIZE:
-                del _roots_cache[next(iter(_roots_cache))]
+            found[key] = roots
+    _roots_cache.update(found)
+    excess = len(_roots_cache) - _ROOTS_CACHE_SIZE
+    if excess > 0:
+        for key in list(_roots_cache)[:excess]:
+            _roots_cache.pop(key, None)
     return [found[key] for key in keys]
 
 
@@ -440,26 +448,38 @@ def integrate_polygon_batch(
     return _adaptive(f_batch, roots, cfg, n_components)
 
 
-def integrate_cells_batch(
-    f_batch,
-    cells,
-    n_components: int,
-    cfg: CubatureConfig | None = None,
-    boundary_layer_scale: float = 0.0,
-):
-    """:func:`integrate_polygon_batch` over each of several cells, with the
-    first round of every cell in one evaluation of ``f_batch``.
+def first_round_chunks(sizes, n_components: int) -> list[slice]:
+    """Runs of consecutive cells, of ``sizes[i]`` root triangles each,
+    whose first round together holds at most ``WEIGHT_BLOCK_BYTES / 8``
+    bytes of rule points and integrand values; a larger cell is a run of
+    its own.  :func:`integrate_cells_batch` takes a run at a time.
+    """
+    # triangles in a run: each has _NQ rule points of 2 coordinates and
+    # n_components values, 8 bytes each
+    limit = (WEIGHT_BLOCK_BYTES // 8) // (8 * _NQ * (2 + n_components))
+    runs, first, size = [], 0, 0
+    for i, n in enumerate(sizes):
+        if i > first and size + n > limit:
+            runs.append(slice(first, i))
+            first, size = i, 0
+        size += n
+    return runs + [slice(first, len(sizes))]
 
-    The roots of all cells are evaluated together and summed per cell.  A
-    cell whose components all pass that round takes its totals; any other
-    cell goes on refining from its slice of the estimate, as
+
+def integrate_cells_batch(f_batch, roots, n_components: int, cfg: CubatureConfig | None = None):
+    """:func:`integrate_polygon_batch` over each of several cells, given by
+    their :func:`root_triangles`, with the first rounds of all of them in
+    one evaluation of ``f_batch``.
+
+    The cells' first-round values are summed per cell.  A cell whose
+    components all pass that round takes its totals; any other cell goes
+    on refining from its slice of the estimate, as
     :func:`integrate_polygon_batch` would from its own first round.  A cell
-    takes the values of its own call within rounding (the batched sums
-    add in another order).  Returns ``(values, converged)``, of shapes
-    ``(len(cells), n_components)`` and ``(len(cells),)``.
+    takes the values of its own call within rounding (the batched sums add
+    in another order).  Returns ``(values, converged)``, of shapes
+    ``(len(roots), n_components)`` and ``(len(roots),)``.
     """
     cfg = cfg or CubatureConfig()
-    roots = root_triangles(cells, boundary_layer_scale)
     sizes = np.array([r.shape[0] for r in roots])
     est = _eval_rules(f_batch, np.concatenate(roots), np.arange(n_components))
     starts = np.cumsum(sizes) - sizes
@@ -468,7 +488,7 @@ def integrate_cells_batch(
     tol *= cfg.relative_tolerance
     passed = (totals[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)).all(axis=1)
     values = totals[0]
-    converged = np.ones(len(cells), dtype=bool)
+    converged = np.ones(len(roots), dtype=bool)
     for c in np.flatnonzero(~passed):
         part = est[:, starts[c] : starts[c] + sizes[c]]
         values[c], _, converged[c], _ = _adaptive(f_batch, roots[c], cfg, n_components, part)
@@ -506,6 +526,7 @@ __all__ = [
     "CubatureConfig",
     "CubatureResult",
     "fan_triangulation",
+    "first_round_chunks",
     "integrate_polygon",
     "integrate_cells_batch",
     "integrate_polygon_batch",

@@ -33,6 +33,7 @@ import numpy as np
 
 from .cubature import (
     CubatureConfig,
+    first_round_chunks,
     integrate_cells_batch,
     integrate_polygon_batch,
     negligible_components,
@@ -136,12 +137,12 @@ def gm_weight_matrix(
     their order (permuting the points permutes the rows, up to rounding).
 
     Cells that integrate the same points (after the pruning below) share
-    one first round, :func:`~simplexreg.cubature.integrate_cells_batch`,
-    in chunks of at most ``WEIGHT_BLOCK_BYTES / 8`` bytes of first-round
-    work; only a cell with a component that did not pass refines further.
-    A few points, as in ``clt_study`` or ``gm_estimate``, so take one
-    kernel evaluation for many cells, where a thousand points fill a chunk
-    with one cell, which is integrated on its own, as by
+    first rounds, :func:`~simplexreg.cubature.integrate_cells_batch`, in
+    the chunks of :func:`~simplexreg.cubature.first_round_chunks`; only a
+    cell with a component that did not pass refines further.  A few
+    points, as in ``clt_study`` or ``gm_estimate``, so take one kernel
+    evaluation for many cells, where a thousand points fill a chunk with
+    one cell, which is integrated on its own, as by
     :func:`~simplexreg.cubature.integrate_polygon_batch`.  A weight is the
     same either way, up to rounding in the order of the sums.
 
@@ -162,54 +163,45 @@ def gm_weight_matrix(
     skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
     weights = np.zeros((m, len(partition)))
     converged = np.ones(len(partition), dtype=bool)
-    for keep, js in _shared_point_chunks(skip, cells, b):
+    groups = _shared_point_groups(skip, cells)
+    order = [j for _, js in groups for j in js]
+    # every cell's roots at once, so that those not cached are graded
+    # together: the study meshes' roots over the bandwidth grid take 0.34 s
+    # of CPU so, and 1.9 s cell by cell
+    roots = dict(zip(order, root_triangles([cells[j] for j in order], b)))
+    for keep, js in groups:
         f_keep = _columns_of(f_batch, keep)
-        if len(js) == 1:
-            (j,) = js
+        for run in first_round_chunks([roots[j].shape[0] for j in js], keep.size):
+            chunk = js[run]
+            if len(chunk) > 1:
+                vals, ok = integrate_cells_batch(f_keep, [roots[j] for j in chunk], keep.size, cfg)
+                weights[np.ix_(keep, chunk)] = np.maximum(vals.T, 0.0)
+                converged[chunk] = ok
+                continue
+            (j,) = chunk
             vals, _, ok, _ = integrate_polygon_batch(
                 f_keep, cells[j], keep.size, cfg, boundary_layer_scale=b
             )
             weights[keep, j] = np.maximum(vals, 0.0)
             converged[j] = ok
-            continue
-        vals, ok = integrate_cells_batch(
-            f_keep, [cells[j] for j in js], keep.size, cfg, boundary_layer_scale=b
-        )
-        weights[np.ix_(keep, js)] = np.maximum(vals.T, 0.0)
-        converged[js] = ok
     return weights, converged
 
 
-def _shared_point_chunks(skip: np.ndarray, cells, b: float):
+def _shared_point_groups(skip: np.ndarray, cells) -> list[tuple[np.ndarray, list[int]]]:
     """``(keep, cells)`` pairs: the cells that integrate the same points
-    ``keep`` (every cell with any), in chunks whose first round takes at
-    most ``WEIGHT_BLOCK_BYTES / 8`` bytes, or single cells where one cell
-    takes more.  With a thousand points no two cells fit, so the study's
-    batches integrate cell by cell.
+    ``keep``, for every cell with any.  Cells share their kept points when
+    few points are given, or at wide bandwidths, where no point is pruned.
     """
+    kept = np.ascontiguousarray(~skip.T)  # a row of kept points per cell
+    live = kept.any(axis=1)
     groups: dict[bytes, list[int]] = {}
     sites = np.array([cell.site for cell in cells])
     # cells by site, x then y: permuting the sites permutes the cells of a
-    # chunk and leaves its evaluation, and so every weight, bit for bit
-    order = [int(j) for j in np.lexsort((sites[:, 1], sites[:, 0])) if not skip[:, j].all()]
-    for j in order:
-        groups.setdefault(skip[:, j].tobytes(), []).append(j)
-    # every cell's roots at once, so that those not cached are graded together
-    roots = dict(zip(order, root_triangles([cells[j] for j in order], b)))
-    for js in groups.values():
-        keep = np.flatnonzero(~skip[:, js[0]])
-        # 19 rule points a triangle, each with 2 coordinates, the
-        # integrand's d + 2 = 4 log rows and one value per kept point
-        per_triangle = 19 * 8 * (2 + 4 + keep.size)
-        chunk, size = [], 0
-        for j in js:
-            cost = per_triangle * roots[j].shape[0]
-            if chunk and size + cost > WEIGHT_BLOCK_BYTES // 8:
-                yield keep, chunk
-                chunk, size = [], 0
-            chunk.append(j)
-            size += cost
-        yield keep, chunk
+    # group and leaves its evaluation, and so every weight, bit for bit
+    for j in np.lexsort((sites[:, 1], sites[:, 0])):
+        if live[j]:
+            groups.setdefault(kept[j].tobytes(), []).append(int(j))
+    return [(np.flatnonzero(kept[js[0]]), js) for js in groups.values()]
 
 
 def _columns_of(f_batch, keep: np.ndarray):

@@ -191,7 +191,7 @@ def _clip_rings(rings: np.ndarray, counts: np.ndarray, normals: np.ndarray, offs
 def _dedup_ring(vertices: np.ndarray) -> np.ndarray:
     """Drop each vertex within ``DEDUP_TOL`` of the last one kept, and the
     last kept if it is within ``DEDUP_TOL`` of the first (on Python floats,
-    as in :func:`_clip_halfplane`)."""
+    which keep the bits of the numpy distances)."""
     if vertices.shape[0] == 0:
         return vertices
 

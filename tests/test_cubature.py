@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from simplexreg.cubature import (
     _split_longest_edge,
     _tri_areas,
     fan_triangulation,
+    first_round_chunks,
     graded_simplex_roots,
+    integrate_cells_batch,
     integrate_polygon_batch,
     root_triangles,
     shrunken_simplex_triangle,
@@ -350,6 +354,67 @@ class TestBatchEngine:
         first = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
         again = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
         assert np.array_equal(first[0], again[0]) and first[2:] == again[2:]
+
+    def test_cells_batch_chunks_match_cell_by_cell(self, partition10, monkeypatch):
+        # a budget of 60 triangles a chunk for one component's values
+        monkeypatch.setattr(cubature, "WEIGHT_BLOCK_BYTES", 8 * 8 * 19 * 3 * 60)
+        b, cells = 0.1, partition10.cells
+        roots = root_triangles(cells, b)
+        sizes = [r.shape[0] for r in roots]
+        runs = first_round_chunks(sizes, 1)
+        # consecutive cells, each run within the budget or a single cell
+        assert [i for run in runs for i in range(len(cells))[run]] == list(range(len(cells)))
+        assert all(sum(sizes[run]) <= 60 or len(sizes[run]) == 1 for run in runs)
+        assert 1 < len(runs) < len(cells) // 2
+        assert first_round_chunks([70, 10, 50, 5], 1) == [slice(0, 1), slice(1, 3), slice(3, 4)]
+        f_batch = kappa_columns(np.array([[0.2, 0.3]]), b)
+        got = [integrate_cells_batch(f_batch, roots[run], 1) for run in runs]
+        values = np.concatenate([v[:, 0] for v, _ in got])
+        converged = np.concatenate([ok for _, ok in got])
+        own = [integrate_polygon_batch(f_batch, cell, 1, boundary_layer_scale=b) for cell in cells]
+        assert np.abs(values - [run[0][0] for run in own]).max() <= 1e-15
+        assert np.array_equal(converged, [run[2] for run in own])
+
+    def test_roots_cache_drops_the_least_recently_used(self, partition7, monkeypatch):
+        monkeypatch.setattr(cubature, "_ROOTS_CACHE_SIZE", 3)
+        monkeypatch.setattr(cubature, "_roots_cache", {})
+        a, b, c, d = partition7.cells[:4]
+        first = root_triangles([a, b, c], 0.05)
+        # the hit on a makes b the least recently used, so d's entry drops b
+        assert root_triangles([a], 0.05)[0] is first[0]
+        root_triangles([d], 0.05)
+        assert len(cubature._roots_cache) == 3
+        again = root_triangles([a, c], 0.05)
+        assert again[0] is first[0] and again[1] is first[2]
+        regraded = root_triangles([b], 0.05)[0]
+        assert regraded is not first[1] and np.array_equal(regraded, first[1])
+        # a cell asked for twice in one call is one entry, kept
+        twice = root_triangles([c, c, b], 0.05)
+        assert twice[0] is twice[1] is first[2] and twice[2] is regraded
+
+    def test_roots_cache_is_shared_across_threads(self, partition10, monkeypatch):
+        # a small cache churning under frequent thread switches: every call
+        # returns its cells' roots and no eviction trips over another
+        monkeypatch.setattr(cubature, "_ROOTS_CACHE_SIZE", 8)
+        monkeypatch.setattr(cubature, "_roots_cache", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        cells = partition10.cells[:20]
+        expected = [graded_simplex_roots(cell.vertices, 0.02) for cell in cells]
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                picks = rng.choice(len(cells), 3, replace=False)
+                got = root_triangles([cells[i] for i in picks], 0.02)
+                assert all(np.array_equal(r, expected[i]) for r, i in zip(got, picks))
+
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(work, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(cubature._roots_cache) <= 8 + 4 * 3
 
     @pytest.mark.parametrize("k", [7, 10])
     def test_graded_roots_match_clip_everything_oracle(self, k, request):
