@@ -173,6 +173,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
+    if args.criterion == "loocv" and args.method != "LL":
+        raise _UsageError(f"loocv is defined for LL only, not --method {args.method}")
     design = _read_design(args.design)
     search = _search_from_args(args)
     if args.criterion == "lscv":

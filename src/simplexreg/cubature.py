@@ -1,23 +1,25 @@
 """Error-controlled integration over convex polygons and the 2-simplex.
 
-The integrator fan-triangulates a polygon from its centroid and adaptively
-bisects triangles along their longest edge.  Where the integrand has a layer
-along the simplex edges, of known thickness, the polygon is first cut into
-bands graded toward those edges at that scale (:func:`graded_simplex_roots`):
-the Gasser-Muller kernel at bandwidth b, and the boundary-singular variance
-constant over the simplex shrunk by eps.  Each triangle carries an embedded
-pair of symmetric quadrature rules (degree 5 with 7 points, degree 7 with 13
-points; they share the centroid, so 19 evaluations per triangle); the
-difference between the two rules is the local error estimate and the degree-7
-value is the one committed.
+One engine, :func:`integrate_cells_batch`, integrates a vector-valued
+integrand over several convex cells from their root triangulations
+(:func:`root_triangles`): the centroid fan or, where the integrand has a
+layer of known thickness along the simplex edges (the Gasser-Muller kernel
+at bandwidth b, the boundary-singular variance constant over the simplex
+shrunk by eps), bands graded toward those edges at that scale.  It
+evaluates the cells' first rounds together and refines each cell that did
+not pass by bisecting triangles along their longest edge;
+:func:`integrate_polygon` and :func:`integrate_simplex` are its one-cell
+calls.  Each triangle carries an embedded pair of symmetric quadrature
+rules (degree 5 with 7 points, degree 7 with 13 points; they share the
+centroid, so 19 evaluations per triangle); the difference between the two
+rules is the local error estimate and the degree-7 value is the one
+committed.
 
-Integrands may be vector valued: the engine refines until every component
-meets ``max(relative_tolerance * |value|, absolute_floor)``, sharing all
-function evaluations across components.  That is what makes computing the
-Gasser-Muller weights for a thousand evaluation points at once affordable.
-The floor is the config's ``absolute_floor`` for scalar integrals; the
-Gasser-Muller weights of a row sum to 1, so their caller raises it to a
-tenth of the relative tolerance shared among the cells.
+Every component refines until it meets ``max(relative_tolerance * |value|,
+absolute_floor)``, sharing all function evaluations across components,
+which makes the Gasser-Muller weights of a thousand evaluation points at
+once affordable.  Their caller raises the floor to a tenth of the relative
+tolerance shared among the cells, since the weights of a row sum to 1.
 
 Running out of subdivision depth is reported through the ``converged`` flag
 of the result, never silently and never as an exception: batch evaluation
@@ -94,7 +96,7 @@ class CubatureConfig:
 
     ``absolute_floor`` is the floor of :func:`integrate_polygon`,
     :func:`integrate_simplex` (the MISE constants among them) and direct
-    :func:`integrate_polygon_batch` calls.  The Gasser-Muller cell integrals
+    :func:`integrate_cells_batch` calls.  The Gasser-Muller cell integrals
     (:func:`~simplexreg.estimators.gm_weight_matrix`) raise it to
     ``relative_tolerance / (10 n)`` for n cells where that is larger, since
     their weights add up to 1.
@@ -204,8 +206,18 @@ def _split_longest_edge(coords: np.ndarray) -> np.ndarray:
     return ext.reshape(6 * T, 2)[rows].reshape(2 * T, 3, 2)
 
 
-def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int, est=None):
-    """Shared adaptive refinement over an initial triangulation.
+def _passes(totals: np.ndarray, cfg: CubatureConfig) -> np.ndarray:
+    """Flags of the components whose ``(2, ...)`` value and error totals
+    pass: the error is at most ``max(relative_tolerance * |value|,
+    absolute_floor)``."""
+    tol = np.abs(totals[0])
+    tol *= cfg.relative_tolerance
+    return totals[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)
+
+
+def _adaptive(f_batch, coords: np.ndarray, est: np.ndarray, cfg: CubatureConfig):
+    """Adaptive refinement of one cell from its root triangles ``coords``
+    and their first-round ``(2, T, m)`` estimate ``est``.
 
     Each round writes every active component's value, error and flag, then
     freezes the components that passed.  It splits every splittable triangle
@@ -214,23 +226,18 @@ def _adaptive(f_batch, roots: np.ndarray, cfg: CubatureConfig, m: int, est=None)
     loop stops when all components passed, the triangle cap is reached, no
     splittable triangle carries error, or no triangle is marked.  Values and
     errors live in one ``(2, T, a)`` array, so a round takes one sum, one
-    column select when components freeze, and one concatenate.  ``est`` is
-    the first round's ``(2, T, m)`` estimate over the roots where the
-    caller has evaluated it already.
+    column select when components freeze, and one concatenate; the first
+    round's array is dropped by the first of these.
     """
-    coords = roots
+    m = est.shape[2]
     active = np.arange(m)
-    if est is None:
-        est = _eval_rules(f_batch, coords, active)
     depth = np.zeros(coords.shape[0], dtype=int)
     out = np.empty((2, m))
     out_conv = np.empty(m, dtype=bool)
     max_tris = coords.shape[0]
     while True:
         total = est.sum(axis=1)
-        tol = np.abs(total[0])
-        tol *= cfg.relative_tolerance
-        passed = total[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)
+        passed = _passes(total, cfg)
         out[:, active] = total
         out_conv[active] = passed
         if passed.any():
@@ -303,24 +310,20 @@ def _split_at_line(polys: list[np.ndarray], owners: list[int], normal, offset: f
     return out, out_owners
 
 
-def graded_simplex_roots(vertices, scale: float) -> np.ndarray:
-    """Root triangles for a cell, geometrically graded toward simplex edges.
+def _graded_roots(cells: list[np.ndarray], scale: float) -> list[np.ndarray]:
+    """Root triangles for each cell, geometrically graded toward the
+    simplex edges.
 
     The smoothing kernel for centers near a simplex edge concentrates in a
     layer of thickness of order the bandwidth along that edge, far below the
     resolution the error estimator can detect from a coarse fan.  Splitting
-    the polygon into bands at distances ``scale * 4^k`` from each of the
+    each polygon into bands at distances ``scale * 4^k`` from each of the
     three simplex edges puts quadrature points inside any such layer from
-    the start, so the adaptive stage only has to polish.
+    the start, so the adaptive stage only has to polish.  Each band line
+    splits the pieces of every cell in one :func:`_split_at_line` call; a
+    cell's pieces stay in their order, so its roots do not depend on the
+    other cells.
     """
-    return _graded_roots([np.asarray(vertices, dtype=float)], scale)[0]
-
-
-def _graded_roots(cells: list[np.ndarray], scale: float) -> list[np.ndarray]:
-    """:func:`graded_simplex_roots` of each cell, with each band line
-    splitting the pieces of every cell in one :func:`_split_at_line` call.
-    A cell's pieces stay in their order, so its roots do not depend on the
-    other cells."""
     polys, owners = list(cells), list(range(len(cells)))
     if scale > 0.0:
         for normal in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])):
@@ -350,11 +353,12 @@ _roots_cache: dict[tuple[bytes, float], np.ndarray] = {}
 
 
 def root_triangles(cells, boundary_layer_scale: float = 0.0) -> list[np.ndarray]:
-    """The read-only ``(T, 3, 2)`` root triangulations that the integration
-    of each of ``cells`` (ConvexCells or vertex arrays) starts from:
-    :func:`graded_simplex_roots` at a positive ``boundary_layer_scale``, the
-    centroid fan at 0.  They are cached by cell and scale; the cells not
-    cached are graded together (:func:`_graded_roots`).
+    """The read-only ``(T, 3, 2)`` root triangulations of ``cells``
+    (ConvexCells or vertex arrays), the input of
+    :func:`integrate_cells_batch`: graded toward the simplex edges at a
+    positive ``boundary_layer_scale`` (:func:`_graded_roots`), the centroid
+    fan at 0.  They are cached by cell and scale; the cells not cached are
+    graded together.
     """
     scale = float(boundary_layer_scale)
     keys = []
@@ -415,44 +419,21 @@ def integrate_polygon(f, cell, cfg: CubatureConfig | None = None) -> CubatureRes
 
 
 def _integrate_scalar(f, cell, cfg, boundary_layer_scale: float) -> CubatureResult:
-    """:func:`integrate_polygon_batch` of a real-valued ``f``, as one result."""
-    value, err, converged, ntri = integrate_polygon_batch(
-        _as_batch_callable(f), cell, 1, cfg, boundary_layer_scale
+    """:func:`integrate_cells_batch` of a real-valued ``f`` over one cell,
+    as one result."""
+    values, errors, converged, triangles = integrate_cells_batch(
+        _as_batch_callable(f), root_triangles([cell], boundary_layer_scale), 1, cfg
     )
-    return CubatureResult(float(value[0]), float(err[0]), converged, ntri)
+    return CubatureResult(
+        float(values[0, 0]), float(errors[0, 0]), bool(converged[0]), int(triangles[0])
+    )
 
 
-def integrate_polygon_batch(
-    f_batch,
-    cell,
-    n_components: int,
-    cfg: CubatureConfig | None = None,
-    boundary_layer_scale: float = 0.0,
-):
-    """Integrate a vector-valued integrand over a convex polygonal cell.
-
-    ``f_batch(points, cols)`` maps an ``(q, 2)`` array of points to the
-    ``(q, len(cols))`` values of the requested component columns; all
-    components share evaluations, each is refined until it meets its own
-    tolerance, and converged components freeze (they are no longer
-    requested) while the rest keep refining.  A positive
-    ``boundary_layer_scale`` grades the initial triangulation toward the
-    simplex edges at that scale (see :func:`graded_simplex_roots`); at 0
-    the roots are the centroid fan.
-
-    Returns ``(values, error_estimates, converged, triangles)`` with the
-    first two of shape ``(n_components,)``.
-    """
-    cfg = cfg or CubatureConfig()
-    (roots,) = root_triangles([cell], boundary_layer_scale)
-    return _adaptive(f_batch, roots, cfg, n_components)
-
-
-def first_round_chunks(sizes, n_components: int) -> list[slice]:
+def _first_round_chunks(sizes, n_components: int) -> list[slice]:
     """Runs of consecutive cells, of ``sizes[i]`` root triangles each,
     whose first round together holds at most ``WEIGHT_BLOCK_BYTES / 8``
     bytes of rule points and integrand values; a larger cell is a run of
-    its own.  :func:`integrate_cells_batch` takes a run at a time.
+    its own.
     """
     # triangles in a run: each has _NQ rule points of 2 coordinates and
     # n_components values, 8 bytes each
@@ -467,32 +448,47 @@ def first_round_chunks(sizes, n_components: int) -> list[slice]:
 
 
 def integrate_cells_batch(f_batch, roots, n_components: int, cfg: CubatureConfig | None = None):
-    """:func:`integrate_polygon_batch` over each of several cells, given by
-    their :func:`root_triangles`, with the first rounds of all of them in
-    one evaluation of ``f_batch``.
+    """Integrate ``f_batch`` over each of several convex cells, given by
+    their :func:`root_triangles`.
 
-    The cells' first-round values are summed per cell.  A cell whose
-    components all pass that round takes its totals; any other cell goes
-    on refining from its slice of the estimate, as
-    :func:`integrate_polygon_batch` would from its own first round.  A cell
-    takes the values of its own call within rounding (the batched sums add
-    in another order).  Returns ``(values, converged)``, of shapes
-    ``(len(roots), n_components)`` and ``(len(roots),)``.
+    ``f_batch(points, cols)`` maps ``(q, 2)`` points to the ``(q,
+    len(cols))`` values of the requested components.  The first rounds of
+    consecutive cells are evaluated together, within ``WEIGHT_BLOCK_BYTES
+    / 8`` bytes of rule points and values, and summed per cell.  A cell
+    whose components all pass takes those totals; any other cell refines
+    from its slice of the estimate, its components sharing evaluations
+    until each passes or the depth runs out, passed ones frozen (no longer
+    requested).
+
+    Returns ``(values, errors, converged, triangles)``: ``(len(roots),
+    n_components)`` values and error estimates, and per cell whether every
+    component passed and the most triangles it held.
     """
     cfg = cfg or CubatureConfig()
     sizes = np.array([r.shape[0] for r in roots])
-    est = _eval_rules(f_batch, np.concatenate(roots), np.arange(n_components))
-    starts = np.cumsum(sizes) - sizes
-    totals = np.add.reduceat(est, starts, axis=1)  # (2, cells, n_components)
-    tol = np.abs(totals[0])
-    tol *= cfg.relative_tolerance
-    passed = (totals[1] <= np.maximum(tol, cfg.absolute_floor, out=tol)).all(axis=1)
-    values = totals[0]
+    values = np.empty((len(roots), n_components))
+    errors = np.empty_like(values)
     converged = np.ones(len(roots), dtype=bool)
-    for c in np.flatnonzero(~passed):
-        part = est[:, starts[c] : starts[c] + sizes[c]]
-        values[c], _, converged[c], _ = _adaptive(f_batch, roots[c], cfg, n_components, part)
-    return values, converged
+    triangles = sizes.copy()
+    for run in _first_round_chunks(sizes, n_components):
+        est = _eval_rules(f_batch, np.concatenate(roots[run]), np.arange(n_components))
+        starts = np.cumsum(sizes[run]) - sizes[run]
+        totals = np.add.reduceat(est, starts, axis=1)  # (2, cells, n_components)
+        values[run], errors[run] = totals
+        cells = range(len(roots))[run]
+        parts = {
+            c: est[:, lo : lo + sizes[c]]
+            for c, lo, ok in zip(cells, starts, _passes(totals, cfg).all(axis=1))
+            if not ok
+        }
+        # the parts are handed over, not held here, so a run's first round
+        # is freed once its last refining cell's refinement moves past it
+        del est
+        for c in list(parts):
+            values[c], errors[c], converged[c], triangles[c] = _adaptive(
+                f_batch, roots[c], parts.pop(c), cfg
+            )
+    return values, errors, converged, triangles
 
 
 def shrunken_simplex_triangle(eps: float = 1e-4) -> np.ndarray:
@@ -514,7 +510,7 @@ def integrate_simplex(
     truncation error is of order ``sqrt(eps)``.  The singularity then sits
     on the simplex edges, ``eps`` outside the domain, so the root
     triangulation is graded toward those edges at scale ``eps`` (bands at
-    ``eps * 4^k``, see :func:`graded_simplex_roots`): the boundary layers
+    ``eps * 4^k``, see :func:`root_triangles`): the boundary layers
     are resolved from the first round instead of being found by many
     rounds of bisection from a centroid fan.
     """
@@ -526,10 +522,8 @@ __all__ = [
     "CubatureConfig",
     "CubatureResult",
     "fan_triangulation",
-    "first_round_chunks",
     "integrate_polygon",
     "integrate_cells_batch",
-    "integrate_polygon_batch",
     "integrate_simplex",
     "negligible_components",
     "root_triangles",

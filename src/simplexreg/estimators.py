@@ -33,9 +33,7 @@ import numpy as np
 
 from .cubature import (
     CubatureConfig,
-    first_round_chunks,
     integrate_cells_batch,
-    integrate_polygon_batch,
     negligible_components,
     root_triangles,
 )
@@ -136,15 +134,13 @@ def gm_weight_matrix(
     cubature tolerance, on which other points share the call, though not on
     their order (permuting the points permutes the rows, up to rounding).
 
-    Cells that integrate the same points (after the pruning below) share
-    first rounds, :func:`~simplexreg.cubature.integrate_cells_batch`, in
-    the chunks of :func:`~simplexreg.cubature.first_round_chunks`; only a
-    cell with a component that did not pass refines further.  A few
-    points, as in ``clt_study`` or ``gm_estimate``, so take one kernel
-    evaluation for many cells, where a thousand points fill a chunk with
-    one cell, which is integrated on its own, as by
-    :func:`~simplexreg.cubature.integrate_polygon_batch`.  A weight is the
-    same either way, up to rounding in the order of the sums.
+    The cells that integrate the same points (after the pruning below) are
+    one :func:`~simplexreg.cubature.integrate_cells_batch` call, which
+    evaluates their first rounds together as far as its memory budget
+    allows; only a cell with a component that did not pass refines
+    further.  A few points, as in ``clt_study`` or ``gm_estimate``, so take
+    one kernel evaluation for many cells, where a thousand points fill a
+    first round with one cell.
 
     A pair whose kernel is bounded (by concavity of the log-kernel, see
     :func:`~simplexreg.kernel.log_kappa_cell_bounds`) so far below the
@@ -161,29 +157,26 @@ def gm_weight_matrix(
     cfg = replace(cfg, absolute_floor=floor)
     bounds = log_kappa_cell_bounds(S, b, [cell.vertices for cell in cells])
     skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
-    weights = np.zeros((m, len(partition)))
-    converged = np.ones(len(partition), dtype=bool)
+    del bounds
     groups = _shared_point_groups(skip, cells)
     order = [j for _, js in groups for j in js]
     # every cell's roots at once, so that those not cached are graded
     # together: the study meshes' roots over the bandwidth grid take 0.34 s
     # of CPU so, and 1.9 s cell by cell
     roots = dict(zip(order, root_triangles([cells[j] for j in order], b)))
+    # no m x n array but the engine's values and errors is held while the
+    # cells are integrated: the bounds are freed above, the weights laid
+    # out below
+    results = []
     for keep, js in groups:
         f_keep = _columns_of(f_batch, keep)
-        for run in first_round_chunks([roots[j].shape[0] for j in js], keep.size):
-            chunk = js[run]
-            if len(chunk) > 1:
-                vals, ok = integrate_cells_batch(f_keep, [roots[j] for j in chunk], keep.size, cfg)
-                weights[np.ix_(keep, chunk)] = np.maximum(vals.T, 0.0)
-                converged[chunk] = ok
-                continue
-            (j,) = chunk
-            vals, _, ok, _ = integrate_polygon_batch(
-                f_keep, cells[j], keep.size, cfg, boundary_layer_scale=b
-            )
-            weights[keep, j] = np.maximum(vals, 0.0)
-            converged[j] = ok
+        vals, _, ok, _ = integrate_cells_batch(f_keep, [roots[j] for j in js], keep.size, cfg)
+        results.append((vals, ok))
+    weights = np.zeros((m, len(partition)))
+    converged = np.ones(len(partition), dtype=bool)
+    for (keep, js), (vals, ok) in zip(groups, results):
+        weights[np.ix_(keep, js)] = np.maximum(vals.T, 0.0)
+        converged[js] = ok
     return weights, converged
 
 

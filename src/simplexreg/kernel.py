@@ -28,8 +28,8 @@ POINT_TOL = 1e-12
 # (``estimators.weight_row_blocks(m, 2 * n)``) hold a block's
 # bandwidth-free log-kernel and one bandwidth's weights together,
 # ``geometry.voronoi_partition`` a block's coordinate differences, and
-# ``cubature.first_round_chunks`` an eighth of it for a chunk's
-# first-round rule points and values.  Each NW/LL
+# ``cubature.integrate_cells_batch`` an eighth of it for the first-round
+# rule points and values of a run of cells.  Each NW/LL
 # (block, bandwidth) pair pays fixed numpy work (moment columns, contraction
 # set-up, the small tests and solves): on a 2-vCPU x86 host, `fit` at
 # n = 990 took 0.66-0.92 CPU s per command with this budget, 1.02-1.26 s

@@ -1,12 +1,18 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from simplexreg import estimators, mesh_design_points, voronoi_partition
+from simplexreg import cubature, estimators, mesh_design_points, voronoi_partition
 from simplexreg.app import barycentric_grid
-from simplexreg.cubature import _tri_areas, fan_triangulation
+from simplexreg.cubature import (
+    _tri_areas,
+    fan_triangulation,
+    integrate_cells_batch,
+    root_triangles,
+)
 from simplexreg.geometry import CLIP_TOL, DEDUP_TOL, SIMPLEX_TRIANGLE
 
 
@@ -63,6 +69,31 @@ def edge_design():
 def force_blocks(monkeypatch, n, rows=16):
     """Set the NW/LL weight budget to ``rows`` rows of an n-column matrix."""
     monkeypatch.setattr(estimators, "WEIGHT_BLOCK_BYTES", 8 * n * rows)
+
+
+def integrate_one_cell(f_batch, cell, n_components, cfg=None, scale=0.0):
+    """:func:`integrate_cells_batch` over the one ``cell`` from its roots at
+    ``scale``: its ``(n_components,)`` values and errors, its flag and its
+    triangle count."""
+    roots = root_triangles([cell], scale)
+    values, errors, converged, triangles = integrate_cells_batch(f_batch, roots, n_components, cfg)
+    return values[0], errors[0], bool(converged[0]), int(triangles[0])
+
+
+def count_first_rounds(monkeypatch):
+    """A list that gets the triangle count of every first-round evaluation
+    :func:`integrate_cells_batch` makes from here on: the rule evaluations
+    it makes itself, not those of its refinement."""
+    sizes = []
+    real = cubature._eval_rules
+
+    def counted(f_batch, coords, cols):
+        if sys._getframe(1).f_code is integrate_cells_batch.__code__:
+            sizes.append(coords.shape[0])
+        return real(f_batch, coords, cols)
+
+    monkeypatch.setattr(cubature, "_eval_rules", counted)
+    return sizes
 
 
 def peak_traced_bytes(fn):

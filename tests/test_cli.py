@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from simplexreg import estimators
 from simplexreg.cli import cli_main
@@ -173,6 +174,24 @@ class TestBandwidth:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "b,value"
         assert len(lines) == payload["evaluations"] + 1
+
+    @pytest.mark.parametrize("method", ["GM", "NW"])
+    def test_loocv_rejects_methods_other_than_ll(self, tmp_path, capsys, method):
+        # LOOCV is defined for LL only; it used to print LL's b_hat for any method
+        design = make_design_csv(tmp_path / "design.csv", n=40)
+        code, out, err = run_cli(
+            capsys,
+            "bandwidth", "--criterion", "loocv", "--method", method,
+            "--design", str(design), "--grid-size", "8",
+        )
+        assert code == 1 and out == ""
+        assert "loocv" in err and method in err
+        code, out, _ = run_cli(
+            capsys,
+            "bandwidth", "--criterion", "loocv", "--method", "LL",
+            "--design", str(design), "--grid-size", "8",
+        )
+        assert code == 0 and "b_hat" in json.loads(out)
 
     def test_lscv_requires_seed(self, tmp_path, capsys):
         design = make_design_csv(tmp_path / "design.csv")

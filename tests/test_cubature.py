@@ -21,14 +21,12 @@ from simplexreg.cubature import (
     _W5,
     _W7,
     _eval_rules,
+    _first_round_chunks,
     _graded_roots,
     _split_longest_edge,
     _tri_areas,
     fan_triangulation,
-    first_round_chunks,
-    graded_simplex_roots,
     integrate_cells_batch,
-    integrate_polygon_batch,
     root_triangles,
     shrunken_simplex_triangle,
 )
@@ -36,7 +34,12 @@ from simplexreg.errors import MismatchError
 from simplexreg.geometry import SIMPLEX_TRIANGLE
 from simplexreg.kernel import kappa_columns
 
-from conftest import graded_roots_oracle, shrunken_psi_integral
+from conftest import (
+    count_first_rounds,
+    graded_roots_oracle,
+    integrate_one_cell,
+    shrunken_psi_integral,
+)
 
 
 def monomial_exact(p, q):
@@ -226,7 +229,7 @@ class TestAdaptiveExits:
             return np.column_stack([np.ones(pts.shape[0]), kink(pts)])[:, cols]
 
         cfg = CubatureConfig(max_subdivisions=1)
-        vals, errs, ok, ntri = integrate_polygon_batch(f_batch, SIMPLEX_TRIANGLE, 2, cfg)
+        vals, errs, ok, ntri = integrate_one_cell(f_batch, SIMPLEX_TRIANGLE, 2, cfg)
         alone = integrate_polygon(kink, SIMPLEX_TRIANGLE, cfg)
         assert not ok and ntri == alone.triangles
         assert vals[0] == pytest.approx(0.5, abs=1e-14) and errs[0] <= 1e-14
@@ -321,7 +324,7 @@ class TestBatchEngine:
             return np.column_stack([kappa(s, 0.15, pts) for s in s_batch[cols]])
 
         for cell in cells:
-            vals, errs, ok, _ = integrate_polygon_batch(f_batch, cell, 3)
+            vals, errs, ok, _ = integrate_one_cell(f_batch, cell, 3)
             assert ok
             for i, s in enumerate(s_batch):
                 single = integrate_polygon(lambda p: kappa(s, 0.15, p), cell)
@@ -331,8 +334,37 @@ class TestBatchEngine:
                 ) + max(1e-3 * abs(vals[i]), 1e-14)
                 assert abs(vals[i] - single.value) <= tol + errs[i] + single.error_estimate
 
+    def test_first_round_passes_report_roots_and_first_round_errors(self, partition7):
+        # cells that pass in their first round take its totals: their root
+        # count as triangles and their first-round error sums as errors;
+        # the others refine past their roots
+        b, cells = 0.05, partition7.cells
+        centers = np.array([[0.3, 0.3], [0.6, 0.2]])
+        f_batch = kappa_columns(centers, b)
+        roots = root_triangles(cells, b)
+        values, errors, converged, triangles = integrate_cells_batch(f_batch, roots, 2)
+        assert values.shape == errors.shape == (len(cells), 2)
+        first = [_eval_rules(f_batch, r, np.arange(2)).sum(axis=1) for r in roots]
+        tol = np.maximum(1e-3 * np.abs([f[0] for f in first]), 1e-14)
+        passed = np.array([np.all(f[1] <= t) for f, t in zip(first, tol)])
+        assert 0 < passed.sum() < len(cells)
+        sizes = np.array([r.shape[0] for r in roots])
+        assert np.array_equal(triangles[passed], sizes[passed])
+        assert np.all(triangles[~passed] > sizes[~passed])
+        assert converged.all()
+        for c in np.flatnonzero(passed):
+            assert_allclose(values[c], first[c][0], rtol=1e-14, atol=0)
+            # an error estimate is a difference of rules: it rounds relative
+            # to the value, not to itself
+            assert np.all(np.abs(errors[c] - first[c][1]) <= 1e-14 * np.abs(first[c][0]))
+
+    def test_boundary_singular_simplex_keeps_its_triangles(self):
+        # roots graded at scale eps pass the variance integral in one round
+        res = integrate_simplex(psi_J, boundary_singular=True)
+        assert res.converged and res.triangles == 363
+
     def test_graded_roots_cover_the_polygon(self):
-        roots = graded_simplex_roots(SIMPLEX_TRIANGLE, 0.01)
+        roots = _graded_roots([SIMPLEX_TRIANGLE], 0.01)[0]
         areas = 0.5 * np.abs(
             (roots[:, 1, 0] - roots[:, 0, 0]) * (roots[:, 2, 1] - roots[:, 0, 1])
             - (roots[:, 1, 1] - roots[:, 0, 1]) * (roots[:, 2, 0] - roots[:, 0, 0])
@@ -342,7 +374,7 @@ class TestBatchEngine:
     def test_graded_roots_are_reused_read_only(self, partition7):
         cell = partition7.cells[0]
         (roots,) = root_triangles([cell], 0.05)
-        assert np.array_equal(roots, graded_simplex_roots(cell.vertices, 0.05))
+        assert np.array_equal(roots, _graded_roots([cell.vertices], 0.05)[0])
         assert root_triangles([cell.vertices.copy()], 0.05)[0] is roots
         assert not roots.flags.writeable
 
@@ -351,8 +383,8 @@ class TestBatchEngine:
         def f_batch(pts, cols):
             return np.column_stack([kappa(s, 0.05, pts) for s in centers[cols]])
 
-        first = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
-        again = integrate_polygon_batch(f_batch, cell, 2, boundary_layer_scale=0.05)
+        first = integrate_one_cell(f_batch, cell, 2, scale=0.05)
+        again = integrate_one_cell(f_batch, cell, 2, scale=0.05)
         assert np.array_equal(first[0], again[0]) and first[2:] == again[2:]
 
     def test_cells_batch_chunks_match_cell_by_cell(self, partition10, monkeypatch):
@@ -361,18 +393,19 @@ class TestBatchEngine:
         b, cells = 0.1, partition10.cells
         roots = root_triangles(cells, b)
         sizes = [r.shape[0] for r in roots]
-        runs = first_round_chunks(sizes, 1)
+        runs = _first_round_chunks(sizes, 1)
         # consecutive cells, each run within the budget or a single cell
         assert [i for run in runs for i in range(len(cells))[run]] == list(range(len(cells)))
         assert all(sum(sizes[run]) <= 60 or len(sizes[run]) == 1 for run in runs)
         assert 1 < len(runs) < len(cells) // 2
-        assert first_round_chunks([70, 10, 50, 5], 1) == [slice(0, 1), slice(1, 3), slice(3, 4)]
+        assert _first_round_chunks([70, 10, 50, 5], 1) == [slice(0, 1), slice(1, 3), slice(3, 4)]
         f_batch = kappa_columns(np.array([[0.2, 0.3]]), b)
-        got = [integrate_cells_batch(f_batch, roots[run], 1) for run in runs]
-        values = np.concatenate([v[:, 0] for v, _ in got])
-        converged = np.concatenate([ok for _, ok in got])
-        own = [integrate_polygon_batch(f_batch, cell, 1, boundary_layer_scale=b) for cell in cells]
-        assert np.abs(values - [run[0][0] for run in own]).max() <= 1e-15
+        first_rounds = count_first_rounds(monkeypatch)
+        values, _, converged, _ = integrate_cells_batch(f_batch, roots, 1)
+        # the engine cuts the same runs, one first-round evaluation each
+        assert first_rounds == [sum(sizes[run]) for run in runs]
+        own = [integrate_one_cell(f_batch, cell, 1, scale=b) for cell in cells]
+        assert np.abs(values[:, 0] - [run[0][0] for run in own]).max() <= 1e-15
         assert np.array_equal(converged, [run[2] for run in own])
 
     def test_roots_cache_drops_the_least_recently_used(self, partition7, monkeypatch):
@@ -400,7 +433,7 @@ class TestBatchEngine:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         cells = partition10.cells[:20]
-        expected = [graded_simplex_roots(cell.vertices, 0.02) for cell in cells]
+        expected = [_graded_roots([cell.vertices], 0.02)[0] for cell in cells]
 
         def work(seed):
             rng = np.random.default_rng(seed)

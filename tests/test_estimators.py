@@ -29,7 +29,7 @@ from simplexreg.errors import (
     InsufficientDataError,
     MismatchError,
 )
-from simplexreg.cubature import integrate_polygon_batch, negligible_components
+from simplexreg.cubature import negligible_components
 from simplexreg.kernel import (
     kappa_columns,
     log_kappa_cell_bounds,
@@ -37,7 +37,14 @@ from simplexreg.kernel import (
     validate_points,
 )
 
-from conftest import edge_design, force_blocks, peak_traced_bytes, random_interior_points
+from conftest import (
+    count_first_rounds,
+    edge_design,
+    force_blocks,
+    integrate_one_cell,
+    peak_traced_bytes,
+    random_interior_points,
+)
 
 
 def noiseless(points, fn):
@@ -147,7 +154,7 @@ class TestGm:
         S = np.vstack([uniform_simplex_sample(200, 11), corners])
         f_batch = kappa_columns(S, b)
         runs = [
-            integrate_polygon_batch(f_batch, cell, len(S), gm_cfg, boundary_layer_scale=b)
+            integrate_one_cell(f_batch, cell, len(S), gm_cfg, scale=b)
             for cell in partition7.cells
         ]
         oracle = np.column_stack([run[0] for run in runs])
@@ -175,17 +182,11 @@ class TestGm:
         S = validate_points(S)
         f_batch = kappa_columns(S, b)
         runs = [
-            integrate_polygon_batch(f_batch, cell, len(S), gm_cfg, boundary_layer_scale=b)
+            integrate_one_cell(f_batch, cell, len(S), gm_cfg, scale=b)
             for cell in partition14.cells
         ]
         oracle = np.column_stack([run[0] for run in runs])
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return integrate_polygon_batch(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, "integrate_polygon_batch", counted)
+        first_rounds = count_first_rounds(monkeypatch)
         W, converged = gm_weight_matrix(partition14, b, S, cfg)
         assert np.array_equal(converged, [run[2] for run in runs])
         kept = W > 0.0
@@ -195,12 +196,12 @@ class TestGm:
         skip = negligible_components(bounds, [c.area for c in partition14.cells], gm_cfg)
         kept_sets = {skip[:, j].tobytes() for j in range(n) if not skip[:, j].all()}
         if count <= 10:
-            # few points: cells share their kept points, so few integrate alone
-            assert len(calls) < n // 4
+            # few points: cells share their kept points and their first rounds
+            assert len(first_rounds) < n // 4
         else:
-            # the kept sets differ, and the big batch integrates cell by cell
+            # the kept sets differ, and the big batch takes a first round per cell
             assert len(kept_sets) > n // 2
-            assert len(calls) == (~skip.all(axis=0)).sum()
+            assert len(first_rounds) == (~skip.all(axis=0)).sum()
 
     @pytest.mark.parametrize("b, fixed_floor_err", [(0.01, 0.745), (0.07, 0.997), (0.4, 0.704)])
     def test_estimates_match_a_tight_oracle(self, mesh7, partition7, b, fixed_floor_err):
@@ -215,7 +216,7 @@ class TestGm:
         Y = np.column_stack([target_function(name)(mesh7) for name in ("m1", "m2", "m4")])
         f_batch = kappa_columns(S, b)
         runs = [
-            integrate_polygon_batch(f_batch, cell, len(S), tight, boundary_layer_scale=b)
+            integrate_one_cell(f_batch, cell, len(S), tight, scale=b)
             for cell in partition7.cells
         ]
         assert all(run[2] for run in runs)

@@ -16,7 +16,7 @@ from simplexreg import (
     psi_J,
     uniform_simplex_sample,
 )
-from simplexreg.cubature import _BARY, graded_simplex_roots
+from simplexreg.cubature import _BARY, _graded_roots
 from simplexreg.errors import DomainError, PoleError
 from simplexreg.kernel import (
     kappa_columns,
@@ -109,7 +109,7 @@ class TestKappa:
         # the GM integrand at the quadrature points of a cell on the edge s_2 = 0
         b = 0.1
         cell = next(c for c in partition7.cells if np.any(c.vertices[:, 1] == 0.0))
-        roots = graded_simplex_roots(cell.vertices, b)
+        roots = _graded_roots([cell.vertices], b)[0]
         pts = np.einsum("qb,tbv->tqv", _BARY, roots).reshape(-1, 2)
         assert pts[:, 1].min() < 1e-2
         centers = np.vstack([random_interior_points(4, 5), [[0.5, 0.0], [0.0, 0.0]]])
@@ -146,7 +146,7 @@ class TestCellBounds:
         bounds = log_kappa_cell_bounds(centers, b, cells)
         assert bounds.shape == (54, 28) and np.all(np.isfinite(bounds))
         for j, vertices in enumerate(cells):
-            roots = graded_simplex_roots(vertices, b)
+            roots = _graded_roots([vertices], b)[0]
             pts = np.vstack(
                 [vertices, np.einsum("qb,tbv->tqv", _BARY, roots).reshape(-1, 2)]
             )

@@ -108,3 +108,63 @@ def test_scipy_is_imported_only_inside_functions(path):
 )
 def test_rule_sees_module_level_scipy_imports(source, flagged):
     assert bool(_module_level_scipy_imports(ast.parse(source))) == flagged
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Names the module binds when it is imported: definitions, assignment
+    and loop targets and imports outside function and class bodies."""
+    bound = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            return
+        if isinstance(node, ast.Lambda):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return bound
+
+
+def _unbound_exports(tree: ast.Module) -> list[str]:
+    """Names a literal ``__all__`` lists that the module does not bind.  A
+    computed ``__all__`` (the package's, from ``dir()``) lists only bound
+    names."""
+    exports = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                exports = [elt.value for elt in node.value.elts]
+    bound = _module_bindings(tree)
+    return [name for name in exports if name not in bound]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    # deleting a public name is where a stale __all__ entry slips through
+    missing = _unbound_exports(ast.parse(path.read_text(), filename=str(path)))
+    assert missing == [], f"{path.name}: __all__ names unbound names {missing}"
+
+
+@pytest.mark.parametrize(
+    "source, missing",
+    [
+        ("def f():\n    pass\n__all__ = ['f', 'g']\n", ["g"]),
+        ("def f():\n    g = 1\n__all__ = ['g']\n", ["g"]),
+        ("class A:\n    B = 1\n__all__ = ['A', 'B']\n", ["B"]),
+        ("from .x import y as z\nimport numpy.linalg\n__all__ = ['z', 'numpy']\n", []),
+        ("A, (B, C) = 1, (2, 3)\nD: int = 4\n__all__ = ('A', 'B', 'C', 'D')\n", []),
+        ("try:\n    import e\nexcept ImportError:\n    e = None\n__all__ = ['e']\n", []),
+        ("X = 1\n__all__ = [n for n in dir() if n[0] != '_']\n", []),
+    ],
+)
+def test_rule_sees_unbound_exports(source, missing):
+    assert _unbound_exports(ast.parse(source)) == missing
