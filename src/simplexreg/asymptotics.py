@@ -43,9 +43,10 @@ FD_STEP_HESSIAN = 1e-4
 class TargetFunction:
     """Regression function with optional analytic derivative callbacks.
 
-    ``value`` must accept arrays shaped ``(..., d)`` and return ``(...)``.
-    ``gradient`` and ``hessian`` act on a single point; when absent they are
-    synthesized by boundary-aware central differences.
+    All act on point arrays ``(..., d)``: ``value`` returns ``(...)``,
+    ``gradient`` ``(..., d)`` or a constant ``(d,)``, ``hessian``
+    ``(..., d, d)`` or a constant ``(d, d)``.  Absent derivatives are
+    synthesized by boundary-aware finite differences of ``value``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -56,21 +57,21 @@ class TargetFunction:
     def __call__(self, s) -> np.ndarray:
         return self.value(np.asarray(s, dtype=float))
 
-    def gradient_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+    def gradient_at(self, points: np.ndarray) -> np.ndarray:
+        """Gradient at validated points ``(n, d)``: ``(n, d)`` or constant ``(d,)``."""
         if self.gradient is not None:
-            return np.asarray(self.gradient(s), dtype=float)
+            return _callback_values(self.gradient, points, points.shape[1:], "gradient")
         if self.value is None:
             raise MissingDerivativesError("no gradient and no value to differentiate")
-        return fd_gradient(self.value, s)
+        return fd_gradient(self.value, points)
 
-    def hessian_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+    def hessian_at(self, points: np.ndarray) -> np.ndarray:
+        """Hessian at validated points ``(n, d)``: ``(n, d, d)`` or constant ``(d, d)``."""
         if self.hessian is not None:
-            return np.asarray(self.hessian(s), dtype=float)
+            return _callback_values(self.hessian, points, 2 * points.shape[1:], "hessian")
         if self.value is None:
             raise MissingDerivativesError("no hessian and no value to differentiate")
-        return fd_hessian(self.value, s)
+        return fd_hessian(self.value, points)
 
 
 @dataclass(frozen=True)
@@ -95,91 +96,97 @@ def uniform_profile(sigma2: float, dim: int = 2) -> VarianceProfile:
     )
 
 
-def _inside(s: np.ndarray) -> bool:
-    return bool(np.all(s >= 0.0) and s.sum() <= 1.0)
+def _callback_values(fn, points: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``fn(points)``, checked to be a constant of ``shape`` or one such
+    value per point: a callback written for one point indexes rows of a
+    batch, and raises :class:`MismatchError` here."""
+    vals = np.asarray(fn(points), dtype=float)
+    if vals.shape not in (shape, points.shape[:-1] + shape):
+        raise MismatchError(
+            f"{name} returned shape {vals.shape} for points of shape "
+            f"{points.shape}; expected {shape} or {points.shape[:-1] + shape}"
+        )
+    return vals
 
 
-def _step_points(s: np.ndarray, i: int, h: float):
-    """Stencil abscissae along coordinate i: central if both sides stay in
-    the simplex, otherwise shifted one-sided."""
-    e = np.zeros_like(s)
-    e[i] = 1.0
-    if _inside(s + h * e) and _inside(s - h * e):
-        return "central", (s - h * e, s + h * e)
-    if _inside(s + 2 * h * e):
-        return "forward", (s + h * e, s + 2 * h * e)
-    return "backward", (s - h * e, s - 2 * h * e)
+def _as_points(s) -> tuple[np.ndarray, bool]:
+    """Validated points ``(n, d)`` from ``(d,)`` or ``(n, d)``, and whether ``s`` was one."""
+    pts = np.asarray(s, dtype=float)
+    if pts.ndim > 2:
+        raise DomainError(f"expected a point (d,) or points (n, d), got shape {pts.shape}")
+    return validate_points(pts), pts.ndim <= 1
+
+
+def _in_simplex(points: np.ndarray) -> np.ndarray:
+    return np.all(points >= 0.0, axis=-1) & (points.sum(axis=-1) <= 1.0)
+
+
+def _stencil(pts: np.ndarray, e: np.ndarray, h: float):
+    """The rows whose central stencil ``s +- h e`` stays in the simplex,
+    and for the other rows the sign and the step of a one-sided stencil:
+    forward where ``s + 2 h e`` stays in, else backward."""
+    central = _in_simplex(pts + h * e) & _in_simplex(pts - h * e)
+    sign = np.where(_in_simplex(pts[~central] + 2 * h * e), 1.0, -1.0)
+    return central, sign, (sign * h)[:, None] * e
+
+
+def _first_difference(f, pts: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
+    """Derivative of ``f`` along ``e`` at points ``(n, d)``: central, or
+    one-sided of second order where the central stencil leaves the simplex."""
+    central, sign, step = _stencil(pts, e, h)
+    out = np.empty(pts.shape[0])
+    c, p = pts[central], pts[~central]
+    out[central] = (f(c + h * e) - f(c - h * e)) / (2.0 * h)
+    out[~central] = sign * (-3.0 * f(p) + 4.0 * f(p + step) - f(p + 2.0 * step)) / (2.0 * h)
+    return out
 
 
 def fd_gradient(f, s, h: float = FD_STEP) -> np.ndarray:
-    """Boundary-aware finite-difference gradient on the simplex."""
-    s = np.asarray(s, dtype=float)
-    grad = np.empty_like(s)
-    f0 = None
-    for i in range(s.size):
-        kind, (p1, p2) = _step_points(s, i, h)
-        if kind == "central":
-            grad[i] = (f(p2) - f(p1)) / (2.0 * h)
-        else:
-            if f0 is None:
-                f0 = f(s)
-            sign = 1.0 if kind == "forward" else -1.0
-            grad[i] = sign * (-3.0 * f0 + 4.0 * f(p1) - f(p2)) / (2.0 * h)
-    return grad
+    """Boundary-aware finite-difference gradient on the simplex of ``f``,
+    which maps points ``(k, d)`` to ``(k,)``: ``(d,)`` at a point ``(d,)``,
+    ``(n, d)`` at points ``(n, d)``, each row the single-point call's bits."""
+    pts, single = _as_points(s)
+    grad = np.stack([_first_difference(f, pts, e, h) for e in np.eye(pts.shape[1])], axis=-1)
+    return grad[0] if single else grad
 
 
 def fd_hessian(f, s, h: float = FD_STEP_HESSIAN) -> np.ndarray:
-    """Boundary-aware finite-difference Hessian (symmetric) on the simplex."""
-    s = np.asarray(s, dtype=float)
-    d = s.size
-    H = np.empty((d, d))
-    f0 = float(f(s))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        if _inside(s + ei) and _inside(s - ei):
-            H[i, i] = (float(f(s + ei)) - 2.0 * f0 + float(f(s - ei))) / h**2
-        else:
-            sign = 1.0 if _inside(s + 2 * ei) else -1.0
-            H[i, i] = (
-                f0
-                - 2.0 * float(f(s + sign * ei))
-                + float(f(s + sign * 2 * ei))
-            ) / h**2
+    """Boundary-aware finite-difference Hessian (symmetric) on the simplex,
+    ``(d, d)`` at a point ``(d,)`` and ``(n, d, d)`` at points ``(n, d)``."""
+    pts, single = _as_points(s)
+    d = pts.shape[1]
+    unit = np.eye(d)
+    H = np.empty((pts.shape[0], d, d))
+    f0 = f(pts)
+    for i, e in enumerate(unit):
+        central, _, step = _stencil(pts, e, h)
+        c, p = pts[central], pts[~central]
+        H[central, i, i] = (f(c + h * e) - 2.0 * f0[central] + f(c - h * e)) / h**2
+        H[~central, i, i] = (f0[~central] - 2.0 * f(p + step) + f(p + 2.0 * step)) / h**2
         for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            pts = (s + ei + ej, s + ei - ej, s - ei + ej, s - ei - ej)
-            if all(_inside(p) for p in pts):
-                H[i, j] = (
-                    float(f(pts[0]))
-                    - float(f(pts[1]))
-                    - float(f(pts[2]))
-                    + float(f(pts[3]))
-                ) / (4.0 * h**2)
-            else:
-                # differentiate the i-gradient along j, one-sided if needed
-                gi = lambda p: fd_gradient(f, p, h)[i]
-                kind, (p1, p2) = _step_points(s, j, h)
-                if kind == "central":
-                    H[i, j] = (gi(p2) - gi(p1)) / (2.0 * h)
-                else:
-                    sign = 1.0 if kind == "forward" else -1.0
-                    H[i, j] = sign * (-3.0 * gi(s) + 4.0 * gi(p1) - gi(p2)) / (2.0 * h)
-            H[j, i] = H[i, j]
-    return H
+            # the j-difference of the i-difference: in the interior, the
+            # four corners s +- h e_i +- h e_j
+            H[:, i, j] = H[:, j, i] = _first_difference(
+                lambda q: _first_difference(f, q, e, h), pts, unit[j], h
+            )
+    return H[0] if single else H
 
 
-def bias_g(m: TargetFunction, s) -> float:
-    """First-order bias coefficient ``g(s)`` of the Gasser-Muller smoother."""
-    s = validate_point(s)
-    d = s.size
-    grad = m.gradient_at(s)
-    hess = m.hessian_at(s)
-    first = float(((1.0 - (d + 1) * s) * grad).sum())
-    shape = np.diag(s) - np.outer(s, s)
-    second = 0.5 * float((shape * hess).sum())
-    return first + second
+def bias_g(m: TargetFunction, s) -> float | np.ndarray:
+    """First-order bias coefficient ``g(s)`` of the Gasser-Muller smoother.
+
+    A float at a point ``(d,)``, an ``(n,)`` array at points ``(n, d)``.
+    The callbacks of ``m`` see ``(n, d)`` arrays (``(1, d)`` for a point),
+    so each batch entry equals the single-point call bit for bit; a
+    callback result of a shape :class:`TargetFunction` does not state
+    raises :class:`MismatchError`.
+    """
+    pts, single = _as_points(s)
+    d = pts.shape[1]
+    first = ((1.0 - (d + 1) * pts) * m.gradient_at(pts)).sum(axis=-1)
+    shape = np.eye(d) * pts[:, None, :] - pts[:, :, None] * pts[:, None, :]
+    g = first + 0.5 * (shape * m.hessian_at(pts)).sum(axis=(-2, -1))
+    return float(g[0]) if single else g
 
 
 def psi_J(s, J=()) -> float | np.ndarray:
@@ -195,11 +202,7 @@ def psi_J(s, J=()) -> float | np.ndarray:
     :class:`BoundaryError` on a boundary face the constant diverges on or
     where the product of the coordinates underflows to 0.
     """
-    pts = np.asarray(s, dtype=float)
-    single = pts.ndim <= 1
-    if pts.ndim > 2:
-        raise DomainError(f"expected a point (d,) or points (n, d), got shape {pts.shape}")
-    pts = validate_points(pts)
+    pts, single = _as_points(s)
     d = pts.shape[1]
     J = tuple(sorted(set(int(j) for j in J)))
     if any(j < 0 or j >= d for j in J):
@@ -232,6 +235,15 @@ def _gamma_shrink_factor(lam: float) -> float:
     )
 
 
+def _variance_constant(points, profile: VarianceProfile, J=()) -> float | np.ndarray:
+    """``psi_J sigma^2 / f`` at a point ``(d,)`` or at points ``(n, d)``."""
+    return (
+        psi_J(points, J)
+        * _callback_values(profile.sigma2, points, (), "profile.sigma2")
+        / _callback_values(profile.design_density, points, (), "profile.design_density")
+    )
+
+
 def variance_leading(
     s,
     J,
@@ -253,7 +265,7 @@ def variance_leading(
         raise DomainError(f"lambdas must have length {d}")
     if any(lam[j] < 2.0 for j in J):
         raise DomainError("lambda_i >= 2 required for every i in J")
-    base = psi_J(s, J) * profile.sigma2(s) / profile.design_density(s)
+    base = _variance_constant(s, profile, J)
     for j in J:
         base *= _gamma_shrink_factor(lam[j])
     return float(n**-1.0 * b ** (-(d + len(J)) / 2.0) * base)
@@ -264,9 +276,18 @@ def mse_expression(b: float, g2: float, vconst: float, n: int, d: int) -> float:
     return b**2 * g2 + vconst / (n * b ** (d / 2.0))
 
 
-def _optimal_from_constants(g2: float, vconst: float, n: int, d: int):
+def optimal_bandwidth(g2: float, vconst: float, n: int, d: int) -> tuple[float, float]:
+    """Minimizer ``b`` of :func:`mse_expression` and its minimum, for a
+    squared bias coefficient ``g2`` (pointwise or integrated) and a variance
+    constant ``vconst``."""
     if d not in (1, 2, 3):
         raise DomainError(f"optimal-bandwidth formulas require d in {{1,2,3}}, got d={d}")
+    if n < 1:
+        raise DomainError(f"sample size n must be at least 1, got {n}")
+    if vconst < 0.0:
+        raise DomainError(f"sigma^2 psi / f must be non-negative, got {vconst}")
+    if g2 <= 1e-300:
+        raise ZeroBiasError("squared bias coefficient underflows; no finite optimum")
     b_opt = n ** (-2.0 / (d + 4)) * ((d / 4.0) * vconst / g2) ** (2.0 / (d + 4))
     lead = (1.0 + d / 4.0) / (d / 4.0) ** (d / (d + 4.0))
     value = n ** (-4.0 / (d + 4)) * lead * vconst ** (4.0 / (d + 4)) * g2 ** (
@@ -286,53 +307,28 @@ def mse_opt_bandwidth(
     g = bias_g(m, s)
     if abs(g) <= 1e-12:
         raise ZeroBiasError(f"bias coefficient vanishes at {s}; no finite optimum")
-    vconst = psi_J(s) * profile.sigma2(s) / profile.design_density(s)
-    return _optimal_from_constants(g * g, vconst, n, s.size)
-
-
-def _profile_values(fn, points: np.ndarray, name: str) -> np.ndarray:
-    vals = np.asarray(fn(points), dtype=float)
-    if vals.shape not in ((), points.shape[:-1]):
-        raise MismatchError(
-            f"profile.{name} returned shape {vals.shape} for points of shape "
-            f"{points.shape}; expected a scalar or {points.shape[:-1]}"
-        )
-    return vals
+    return optimal_bandwidth(g * g, _variance_constant(s, profile), n, s.size)
 
 
 def mise_constants(
     m: TargetFunction,
     profile: VarianceProfile,
     cfg: CubatureConfig | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float, bool]:
     """The two MISE integrals over the 2-simplex: integrated squared bias
     coefficient and integrated variance constant (the latter over the
     epsilon-shrunken simplex, since it diverges on the boundary, from roots
     graded toward the simplex edges at scale epsilon; see
-    :func:`~simplexreg.cubature.integrate_simplex`).
-
-    The variance integrand is evaluated once per cubature round on the
-    whole batch of points, so ``profile.sigma2`` and
-    ``profile.design_density`` receive ``(n, 2)`` arrays and must return a
-    scalar or an ``(n,)`` array (any other shape raises
-    :class:`MismatchError`).  The bias coefficient is evaluated point by
-    point, because the derivative callbacks of ``m`` act on a single point.
+    :func:`~simplexreg.cubature.integrate_simplex`), and whether both met
+    the cubature tolerance (m3's ``g^2`` grows like ``1/s_i`` at the edges
+    and is not integrable, so its integral stops at the triangle cap).
+    Each integrand takes a cubature round's ``(n, 2)`` points at once, so
+    the callbacks of ``m`` and ``profile`` see point arrays.
     """
     cfg = cfg or CubatureConfig()
-
-    def g2(points: np.ndarray) -> np.ndarray:
-        return np.array([bias_g(m, p) ** 2 for p in points])
-
-    def vfun(points: np.ndarray) -> np.ndarray:
-        return (
-            psi_J(points)
-            * _profile_values(profile.sigma2, points, "sigma2")
-            / _profile_values(profile.design_density, points, "design_density")
-        )
-
-    g2_int = integrate_simplex(g2, cfg).value
-    v_int = integrate_simplex(vfun, cfg, boundary_singular=True).value
-    return g2_int, v_int
+    g2 = integrate_simplex(lambda p: bias_g(m, p) ** 2, cfg)
+    v = integrate_simplex(lambda p: _variance_constant(p, profile), cfg, boundary_singular=True)
+    return g2.value, v.value, g2.converged and v.converged
 
 
 def mise_opt_bandwidth(
@@ -341,16 +337,10 @@ def mise_opt_bandwidth(
     cfg: CubatureConfig | None = None,
     n: int = 100,
 ) -> tuple[float, float]:
-    """MISE-optimal bandwidth and value over the 2-simplex.
-
-    Integrates the squared bias coefficient and the boundary-singular
-    variance constant and plugs the two numbers into the same optimum as
-    the pointwise case.
-    """
-    g2_int, v_int = mise_constants(m, profile, cfg)
-    if g2_int <= 1e-300:
-        raise ZeroBiasError("integrated squared bias underflows; no finite optimum")
-    return _optimal_from_constants(g2_int, v_int, n, 2)
+    """MISE-optimal bandwidth and value over the 2-simplex: the
+    :func:`optimal_bandwidth` of the :func:`mise_constants`."""
+    g2_int, v_int, _ = mise_constants(m, profile, cfg)
+    return optimal_bandwidth(g2_int, v_int, n, 2)
 
 
 def clt_standardize(
@@ -369,13 +359,11 @@ def clt_standardize(
     array of the same shape.
     """
     s = validate_point(s)
-    d = s.size
-    sig2 = profile.sigma2(s)
-    if sig2 <= 0.0:
-        raise DomainError("sigma^2(s) must be positive")
-    scale = np.sqrt(psi_J(s) * sig2 / profile.design_density(s))
+    vconst = _variance_constant(s, profile)
+    if vconst <= 0.0:
+        raise DomainError("sigma^2(s) / f(s) must be positive")
     est = np.asarray(estimate, dtype=float)
-    z = np.sqrt(n) * b ** (d / 4.0) * (est - float(m(s))) / scale
+    z = np.sqrt(n) * b ** (s.size / 4.0) * (est - float(m(s))) / np.sqrt(vconst)
     return float(z) if est.ndim == 0 else z
 
 
@@ -390,6 +378,8 @@ __all__ = [
     "variance_leading",
     "mse_expression",
     "mse_opt_bandwidth",
+    "optimal_bandwidth",
+    "mise_constants",
     "mise_opt_bandwidth",
     "clt_standardize",
 ]

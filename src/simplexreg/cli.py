@@ -19,8 +19,9 @@ import numpy as np
 from . import app
 from .asymptotics import (
     bias_g,
-    mise_opt_bandwidth,
+    mise_constants,
     mse_opt_bandwidth,
+    optimal_bandwidth,
     psi_J,
     uniform_profile,
 )
@@ -279,7 +280,10 @@ def _cmd_asymptotics(args) -> int:
         payload["mse_opt"] = None
     if args.mise:
         cfg = CubatureConfig(relative_tolerance=args.rtol)
-        b_opt, mise_opt = mise_opt_bandwidth(m, profile, cfg, args.n)
+        g2_int, v_int, converged = mise_constants(m, profile, cfg)
+        if not converged:
+            print("warning: cubature tolerance not reached in a MISE integral", file=sys.stderr)
+        b_opt, mise_opt = optimal_bandwidth(g2_int, v_int, args.n, 2)
         payload["b_opt_mise"] = b_opt
         payload["mise_opt"] = mise_opt
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")

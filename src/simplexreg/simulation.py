@@ -68,43 +68,47 @@ def _m6(s):
     return (1.0 + s[..., 0]) * np.exp(s[..., 1])
 
 
+def _symmetric(a, b, c):
+    """The symmetric matrices ``[[a, b], [b, c]]``, shaped ``(..., 2, 2)``."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
 _TARGETS = {
     "m1": TargetFunction(
         value=_m1,
-        gradient=lambda s: np.array([1.0, 1.0]) / (1.0 + s[0] + s[1]),
-        hessian=lambda s: -np.ones((2, 2)) / (1.0 + s[0] + s[1]) ** 2,
+        gradient=lambda s: np.ones(2) / (1.0 + s[..., 0] + s[..., 1])[..., None],
+        hessian=lambda s: -np.ones((2, 2)) / ((1.0 + s[..., 0] + s[..., 1]) ** 2)[..., None, None],
         label="m1",
     ),
     "m2": TargetFunction(
         value=_m2,
-        gradient=lambda s: np.array([np.cos(s[0]), -np.sin(s[1])]),
-        hessian=lambda s: np.diag([-np.sin(s[0]), -np.cos(s[1])]),
+        gradient=lambda s: np.stack([np.cos(s[..., 0]), -np.sin(s[..., 1])], -1),
+        hessian=lambda s: _symmetric(-np.sin(s[..., 0]), 0.0, -np.cos(s[..., 1])),
         label="m2",
     ),
     "m3": TargetFunction(
         value=_m3,
-        gradient=lambda s: np.array([0.5 / np.sqrt(s[0]), 0.5 / np.sqrt(s[1])]),
-        hessian=lambda s: np.diag([-0.25 * s[0] ** -1.5, -0.25 * s[1] ** -1.5]),
+        gradient=lambda s: 0.5 / np.sqrt(s),
+        hessian=lambda s: _symmetric(-0.25 * s[..., 0] ** -1.5, 0.0, -0.25 * s[..., 1] ** -1.5),
         label="m3",
     ),
     "m4": TargetFunction(
         value=_m4,
-        gradient=lambda s: np.array([1.0 + s[1], s[0]]),
+        gradient=lambda s: np.stack([1.0 + s[..., 1], s[..., 0]], -1),
         hessian=lambda s: np.array([[0.0, 1.0], [1.0, 0.0]]),
         label="m4",
     ),
     "m5": TargetFunction(
         value=_m5,
-        gradient=lambda s: np.array([2.0 * (s[0] + 0.25), 2.0 * (s[1] + 0.75)]),
+        gradient=lambda s: 2.0 * (s + [0.25, 0.75]),
         hessian=lambda s: 2.0 * np.eye(2),
         label="m5",
     ),
     "m6": TargetFunction(
         value=_m6,
-        gradient=lambda s: np.array([np.exp(s[1]), (1.0 + s[0]) * np.exp(s[1])]),
-        hessian=lambda s: np.array(
-            [[0.0, np.exp(s[1])], [np.exp(s[1]), (1.0 + s[0]) * np.exp(s[1])]]
-        ),
+        gradient=lambda s: np.stack([np.exp(s[..., 1]), (1.0 + s[..., 0]) * np.exp(s[..., 1])], -1),
+        hessian=lambda s: _symmetric(0.0, np.exp(s[..., 1]), (1.0 + s[..., 0]) * np.exp(s[..., 1])),
         label="m6",
     ),
 }
@@ -409,7 +413,8 @@ def clt_study(
     truth = np.asarray(m(points), dtype=float)
     base = float(w @ truth)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    noise = rng.standard_normal((replications, n)) * sigma
+    noise = rng.standard_normal((replications, n))
+    noise *= sigma  # in place: one replications x n array at a time
     estimates = base + noise @ w
     profile = uniform_profile(sigma**2, dim=2)
     z = clt_standardize(estimates, s, m, profile, n, b)

@@ -77,6 +77,73 @@ class TestFiniteDifferences:
         assert np.all(np.isfinite(corner))
 
 
+# points on edges and at vertices, where the stencils go one-sided
+# (and, at a vertex, leave the simplex)
+EDGE_POINTS = np.array(
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.0, 0.4], [0.4, 0.0],
+     [0.3, 0.7 - 1e-6], [1e-6, 0.5], [0.5, 1e-5], [2e-5, 2e-5]]
+)
+
+
+def study_target(name, analytic):
+    m = target_function(name)
+    return m if analytic else TargetFunction(value=m.value)
+
+
+def assert_batch_is_per_row(m, pts):
+    """bias_g, fd_gradient and fd_hessian of a batch equal the per-row calls
+    bit for bit."""
+    calls = (
+        lambda p: bias_g(m, p),
+        lambda p: fd_gradient(m.value, p),
+        lambda p: fd_hessian(m.value, p),
+    )
+    # m3 meets 1/sqrt(0) on the edges, and sqrt(<0) where a stencil leaves
+    # the simplex at a vertex
+    with np.errstate(all="ignore"):
+        for call in calls:
+            batch = call(pts)
+            rows = np.array([call(p) for p in pts])
+            assert batch.shape == rows.shape
+            assert batch.tobytes() == rows.tobytes()
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("name", ALL_TARGETS)
+    def test_batch_equals_per_row_calls(self, name, analytic):
+        pts = np.vstack([random_interior_points(100, 17, margin=1e-3), EDGE_POINTS])
+        assert_batch_is_per_row(study_target(name, analytic), pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_simplex_points(), st.sampled_from(ALL_TARGETS), st.booleans())
+    def test_batch_equals_per_row_calls_near_the_boundary(self, pts, name, analytic):
+        assert_batch_is_per_row(study_target(name, analytic), pts)
+
+    def test_point_gives_float_and_batch_gives_arrays(self):
+        m = target_function("m6")
+        assert type(bias_g(m, [0.2, 0.3])) is float
+        assert bias_g(m, np.empty((0, 2))).shape == (0,)
+        assert fd_gradient(m.value, random_interior_points(4, 1)).shape == (4, 2)
+        assert fd_hessian(m.value, [0.2, 0.3]).shape == (2, 2)
+
+    def test_one_point_callbacks_raise_on_a_batch(self):
+        m2 = target_function("m2")
+        one_point_gradient = TargetFunction(
+            value=m2.value,
+            gradient=lambda s: np.array([np.cos(s[0]), -np.sin(s[1])]),
+            hessian=m2.hessian,
+        )
+        one_point_hessian = TargetFunction(
+            value=m2.value,
+            gradient=m2.gradient,
+            hessian=lambda s: np.diag([-np.sin(s[0]), -np.cos(s[1])]),
+        )
+        for m in (one_point_gradient, one_point_hessian):
+            with pytest.raises(MismatchError):
+                bias_g(m, random_interior_points(5, 3))
+
+
 class TestPsi:
     def test_interior_value(self):
         assert psi_J([1 / 3, 1 / 3]) == pytest.approx(
@@ -215,6 +282,11 @@ class TestMseOptimal:
         slope = np.polyfit(np.log(ns), np.log(bs), 1)[0]
         assert slope == pytest.approx(-1 / 3, abs=1e-6)
 
+    @pytest.mark.parametrize("sigma2, n", [(-1.0, 100), (1.0, 0), (1.0, -5)])
+    def test_negative_variance_or_sample_size_rejected(self, sigma2, n):
+        with pytest.raises(DomainError):
+            mse_opt_bandwidth([0.3, 0.2], target_function("m5"), uniform_profile(sigma2), n)
+
     def test_zero_bias_raises(self):
         m = TargetFunction(
             value=lambda s: np.asarray(s)[..., 0],
@@ -233,13 +305,13 @@ class TestMiseOptimal:
         sigma2 = 1.7
         profile = uniform_profile(sigma2)
         m5 = target_function("m5")
-        _, v_int = mise_constants(m5, profile)
+        _, v_int, _ = mise_constants(m5, profile)
         expected = sigma2 / 2.0 * (0.5 - 1.5 * np.sqrt(1e-4))
         assert v_int == pytest.approx(expected, rel=0.01)
 
     def test_variance_integral_matches_exact_value(self):
         # sigma^2 / f times the exact integral of psi over the shrunken simplex
-        _, v_int = mise_constants(target_function("m5"), uniform_profile(1.7))
+        _, v_int, _ = mise_constants(target_function("m5"), uniform_profile(1.7))
         assert v_int == pytest.approx(1.7 / 2.0 * shrunken_psi_integral(1e-4), rel=1e-3)
 
     def test_linear_target_bias_integral_closed_form(self):
@@ -250,7 +322,7 @@ class TestMiseOptimal:
             gradient=lambda s: np.array([3.0, -1.0]),
             hessian=lambda s: np.zeros((2, 2)),
         )
-        g2_int, _ = mise_constants(m, uniform_profile(1.0))
+        g2_int, _, _ = mise_constants(m, uniform_profile(1.0))
         assert g2_int == pytest.approx(3.25, rel=1e-6)
 
     def test_self_consistency_identity(self):
@@ -258,10 +330,18 @@ class TestMiseOptimal:
         profile = uniform_profile(1.0)
         n = 500
         b_opt, mise_opt = mise_opt_bandwidth(m5, profile, n=n)
-        g2_int, v_int = mise_constants(m5, profile)
+        g2_int, v_int, _ = mise_constants(m5, profile)
         assert mse_expression(b_opt, g2_int, v_int, n, 2) == pytest.approx(
             mise_opt, rel=1e-10
         )
+
+    @pytest.mark.parametrize("name, converged", [("m2", True), ("m3", False)])
+    def test_reports_whether_the_integrals_converged(self, name, converged):
+        # m3's g grows like s_i^-1/2 at the edges, so the integral of g^2
+        # diverges logarithmically and the cubature stops at its triangle cap
+        g2_int, v_int, flag = mise_constants(target_function(name), uniform_profile(1.0))
+        assert flag is converged
+        assert g2_int > 0 and v_int > 0
 
     def test_array_profile_matches_constant_profile(self):
         # callables returning one value per point give the same integral as

@@ -264,6 +264,72 @@ class TestSimulate:
         ]
 
 
+# exact stdout of `asymptotics --mise`: bias, variance constants and both
+# optima, at two points per target
+MISE_STDOUT = {
+    ("m1", "0.3,0.3"): (
+        '{"b_opt_mise": 0.22009917847155452, "b_opt_mse": 0.5559037595838734'
+        ', "function": "m1", "g": 0.07812500000000011, "mise_opt": 0.0165278016908362'
+        ', "mse_opt": 0.005658489805654648, "n": 100, "psi": 0.41941010087072533'
+        ', "s": [0.3, 0.3]}\n'
+    ),
+    ("m1", "0.6,0.25"): (
+        '{"b_opt_mise": 0.22009917847155452, "b_opt_mse": 0.23685970611282153'
+        ', "function": "m1", "g": -0.3159240321402482, "mise_opt": 0.0165278016908362'
+        ', "mse_opt": 0.01679844006646769, "n": 100, "psi": 0.5305164769729844'
+        ', "s": [0.6, 0.25]}\n'
+    ),
+    ("m2", "0.3,0.3"): (
+        '{"b_opt_mise": 0.15136193479004384, "b_opt_mse": 0.6261220856001984'
+        ', "function": "m2", "g": -0.06535832481120257, "mise_opt": 0.02403349018456851'
+        ', "mse_opt": 0.005023901614195741, "n": 100, "psi": 0.41941010087072533'
+        ', "s": [0.3, 0.3]}\n'
+    ),
+    ("m2", "0.6,0.25"): (
+        '{"b_opt_mise": 0.15136193479004384, "b_opt_mse": 0.1195795681064177'
+        ', "function": "m2", "g": -0.8807121180841504, "mise_opt": 0.02403349018456851'
+        ', "mse_opt": 0.033273858070439394, "n": 100, "psi": 0.5305164769729844'
+        ', "s": [0.6, 0.25]}\n'
+    ),
+    ("m4", "0.3,0.3"): (
+        '{"b_opt_mise": 0.15295076144669764, "b_opt_mse": 0.5981281900834816'
+        ', "function": "m4", "g": 0.07000000000000015, "mise_opt": 0.02378383435091006'
+        ', "mse_opt": 0.005259032777056383, "n": 100, "psi": 0.41941010087072533'
+        ', "s": [0.3, 0.3]}\n'
+    ),
+    ("m4", "0.6,0.25"): (
+        '{"b_opt_mise": 0.15295076144669764, "b_opt_mse": 0.10987012750848116'
+        ', "function": "m4", "g": -0.9999999999999998, "mise_opt": 0.02378383435091006'
+        ', "mse_opt": 0.0362143347561897, "n": 100, "psi": 0.5305164769729844'
+        ', "s": [0.6, 0.25]}\n'
+    ),
+    ("m5", "0.3,0.3"): (
+        '{"b_opt_mise": 0.09691895357741975, "b_opt_mse": 0.12417623412846615'
+        ', "function": "m5", "g": 0.7400000000000002, "mise_opt": 0.03753399556865773'
+        ', "mse_opt": 0.025331544144559855, "n": 100, "psi": 0.41941010087072533'
+        ', "s": [0.3, 0.3]}\n'
+    ),
+    ("m5", "0.6,0.25"): (
+        '{"b_opt_mise": 0.09691895357741975, "b_opt_mse": 0.1921124692091803'
+        ', "function": "m5", "g": -0.43249999999999966, "mise_opt": 0.03753399556865773'
+        ', "mse_opt": 0.020711167753327955, "n": 100, "psi": 0.5305164769729844'
+        ', "s": [0.6, 0.25]}\n'
+    ),
+    ("m6", "0.3,0.3"): (
+        '{"b_opt_mise": 0.12188694107578268, "b_opt_mse": 0.19597649130665576'
+        ', "function": "m6", "g": 0.37323596029476513, "mise_opt": 0.029845326677220146'
+        ', "mse_opt": 0.016050781068472013, "n": 100, "psi": 0.41941010087072533'
+        ', "s": [0.3, 0.3]}\n'
+    ),
+    ("m6", "0.6,0.25"): (
+        '{"b_opt_mise": 0.12188694107578268, "b_opt_mse": 0.17131309213207638'
+        ', "function": "m6", "g": -0.5136101666750962, "mise_opt": 0.029845326677220146'
+        ', "mse_opt": 0.02322574140585713, "n": 100, "psi": 0.5305164769729844'
+        ', "s": [0.6, 0.25]}\n'
+    ),
+}
+
+
 class TestAsymptotics:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -291,6 +357,37 @@ class TestAsymptotics:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("function, at", sorted(MISE_STDOUT))
+    def test_mise_stdout_is_pinned(self, capsys, function, at):
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--function", function, "--at", at, "--mise"
+        )
+        assert (code, out, err) == (0, MISE_STDOUT[(function, at)], "")
+
+    def test_warns_when_a_mise_integral_misses_the_tolerance(self, capsys):
+        # m3's squared bias coefficient is not integrable over the simplex
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--function", "m3", "--at", "0.3,0.3", "--mise"
+        )
+        assert code == 0
+        assert err == "warning: cubature tolerance not reached in a MISE integral\n"
+        assert json.loads(out)["b_opt_mise"] > 0
+
+    @pytest.mark.parametrize("flag, value", [("--sigma2", "-1"), ("--n", "-5"), ("--n", "0")])
+    def test_negative_variance_or_sample_size_is_data_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--function", "m5", "--at", "0.3,0.2", flag, value
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("data error:")
+
+    def test_zero_variance_gives_zero_bandwidth(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "asymptotics", "--function", "m5", "--at", "0.3,0.2", "--sigma2", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["b_opt_mse"] == 0.0
 
 
 def make_soil_csv(path):
