@@ -23,14 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cubature import CubatureConfig, integrate_simplex
-from .errors import (
-    BoundaryError,
-    DomainError,
-    MismatchError,
-    MissingDerivativesError,
-    ZeroBiasError,
-)
+from .cubature import CubatureConfig, _callback_values, integrate_simplex
+from .errors import BoundaryError, DomainError, MissingDerivativesError, ZeroBiasError
 from .kernel import last_coordinate, validate_point, validate_points
 
 FD_STEP = 1e-5
@@ -41,24 +35,27 @@ FD_STEP_HESSIAN = 1e-4
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Regression function with optional analytic derivative callbacks.
+    """Regression function with optional analytic derivatives.
 
-    All act on point arrays ``(..., d)``: ``value`` returns ``(...)``,
-    ``gradient`` ``(..., d)`` or a constant ``(d,)``, ``hessian``
-    ``(..., d, d)`` or a constant ``(d, d)``.  Absent derivatives are
-    synthesized by boundary-aware finite differences of ``value``.
+    ``value`` maps points ``(..., d)`` to ``(...)``.  ``gradient`` and
+    ``hessian`` are callables giving one value per point, ``(..., d)`` and
+    ``(..., d, d)``, or constant arrays ``(d,)`` and ``(d, d)``; any other
+    shape raises :class:`MismatchError`.  Absent ones are boundary-aware
+    finite differences of ``value``.  A callable written for one point,
+    reading ``s[0]``, ``s[1]``, picks rows of a batch instead; its result
+    has the per-point shape, and escapes the check, only on exactly d points.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None
     label: str = ""
 
     def __call__(self, s) -> np.ndarray:
         return self.value(np.asarray(s, dtype=float))
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
-        """Gradient at validated points ``(n, d)``: ``(n, d)`` or constant ``(d,)``."""
+        """Gradient ``(n, d)`` at validated points ``(n, d)``."""
         if self.gradient is not None:
             return _callback_values(self.gradient, points, points.shape[1:], "gradient")
         if self.value is None:
@@ -66,7 +63,7 @@ class TargetFunction:
         return fd_gradient(self.value, points)
 
     def hessian_at(self, points: np.ndarray) -> np.ndarray:
-        """Hessian at validated points ``(n, d)``: ``(n, d, d)`` or constant ``(d, d)``."""
+        """Hessian ``(n, d, d)`` at validated points ``(n, d)``."""
         if self.hessian is not None:
             return _callback_values(self.hessian, points, 2 * points.shape[1:], "hessian")
         if self.value is None:
@@ -78,35 +75,22 @@ class TargetFunction:
 class VarianceProfile:
     """Noise variance and design density as functions on the simplex.
 
-    Both callables take points shaped ``(..., d)`` and return either a scalar
-    (a constant) or an array shaped ``(...)``, one value per point; the
-    integrals of :func:`mise_constants` pass whole ``(n, d)`` batches.
+    Both callables map points ``(..., d)`` to one value per point,
+    ``(...)``; the integrals of :func:`mise_constants` pass whole ``(n, d)``
+    batches.  Any other shape raises :class:`MismatchError`.
     """
 
-    sigma2: Callable[[np.ndarray], float | np.ndarray]
-    design_density: Callable[[np.ndarray], float | np.ndarray]
+    sigma2: Callable[[np.ndarray], np.ndarray]
+    design_density: Callable[[np.ndarray], np.ndarray]
 
 
 def uniform_profile(sigma2: float, dim: int = 2) -> VarianceProfile:
     """Constant-variance profile with the uniform design density ``d!``."""
     density = float(np.prod(np.arange(1, dim + 1)))
     return VarianceProfile(
-        sigma2=lambda s, v=float(sigma2): v,
-        design_density=lambda s, f0=density: f0,
+        sigma2=lambda s, v=float(sigma2): np.full(np.shape(s)[:-1], v),
+        design_density=lambda s, f0=density: np.full(np.shape(s)[:-1], f0),
     )
-
-
-def _callback_values(fn, points: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """``fn(points)``, checked to be a constant of ``shape`` or one such
-    value per point: a callback written for one point indexes rows of a
-    batch, and raises :class:`MismatchError` here."""
-    vals = np.asarray(fn(points), dtype=float)
-    if vals.shape not in (shape, points.shape[:-1] + shape):
-        raise MismatchError(
-            f"{name} returned shape {vals.shape} for points of shape "
-            f"{points.shape}; expected {shape} or {points.shape[:-1] + shape}"
-        )
-    return vals
 
 
 def _as_points(s) -> tuple[np.ndarray, bool]:
@@ -178,8 +162,8 @@ def bias_g(m: TargetFunction, s) -> float | np.ndarray:
     A float at a point ``(d,)``, an ``(n,)`` array at points ``(n, d)``.
     The callbacks of ``m`` see ``(n, d)`` arrays (``(1, d)`` for a point),
     so each batch entry equals the single-point call bit for bit; a
-    callback result of a shape :class:`TargetFunction` does not state
-    raises :class:`MismatchError`.
+    derivative of another shape than :class:`TargetFunction` states raises
+    :class:`MismatchError`.
     """
     pts, single = _as_points(s)
     d = pts.shape[1]

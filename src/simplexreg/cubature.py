@@ -382,14 +382,27 @@ def root_triangles(cells, boundary_layer_scale: float = 0.0) -> list[np.ndarray]
     return [found[key] for key in keys]
 
 
+def _callback_values(fn, points: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """One value of ``shape`` per point of ``points`` ``(..., d)``: a callable
+    ``fn`` gives them as ``fn(points)``, and a constant array ``fn`` of
+    ``shape`` is broadcast.  Any other shape raises :class:`MismatchError`."""
+    per_point = points.shape[:-1] + shape
+    if callable(fn):
+        vals, expected = np.asarray(fn(points), dtype=float), per_point
+    else:
+        vals, expected = np.asarray(fn, dtype=float), shape
+    if vals.shape != expected:
+        raise MismatchError(
+            f"{name} has shape {vals.shape} at points {points.shape}; expected {expected}"
+        )
+    return vals if callable(fn) else np.broadcast_to(vals, per_point)
+
+
 def _as_batch_callable(f):
     """The engine's ``(points, cols)`` form of an integrand ``f((q, 2)) -> (q,)``."""
 
     def call(pts: np.ndarray, _cols) -> np.ndarray:
-        out = np.asarray(f(pts), dtype=float)
-        if out.shape != (pts.shape[0],):
-            raise MismatchError(f"integrand gave shape {out.shape} for points {pts.shape}")
-        return out[:, None]
+        return _callback_values(f, pts, (), "integrand")[:, None]
 
     return call
 

@@ -123,11 +123,12 @@ def gm_weight_matrix(
     plus ``n * floor``, a tenth of the tolerance, and a GM estimate
     ``W @ y`` is within ``1.1 * relative_tolerance * max |y|`` of its exact
     value, as far as the error estimates hold.  The degree-5/7 error
-    estimate can undershoot in the large weights: on the k = 7 mesh with
-    200 uniform points (seed 12) at b = 0.07, the m1 estimate is
-    ``1.142 * relative_tolerance * max |y|`` from an rtol-1e-5 oracle
-    (grading the roots toward the simplex edges at every bandwidth, a
-    ROADMAP item, is the likely mend).
+    estimate can undershoot in the large weights, so the bound delivered is
+    wider: on the k = 7 mesh with 1000 uniform points (seed 12) at
+    ``default_grid()[4]`` (b = 0.00203), against an rtol-1e-5 oracle, the m1
+    estimate is ``1.634 * relative_tolerance * max |y|`` off at
+    (0.4828, 0.4817), m2 1.250 and m4 1.201, and the row sums deviate from
+    1 by up to 1.63e-3.
 
     The points of a batch share each cell's refinement: a triangle is split
     when any point's integral needs it.  So a weight depends, within the

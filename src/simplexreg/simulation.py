@@ -96,13 +96,13 @@ _TARGETS = {
     "m4": TargetFunction(
         value=_m4,
         gradient=lambda s: np.stack([1.0 + s[..., 1], s[..., 0]], -1),
-        hessian=lambda s: np.array([[0.0, 1.0], [1.0, 0.0]]),
+        hessian=np.array([[0.0, 1.0], [1.0, 0.0]]),
         label="m4",
     ),
     "m5": TargetFunction(
         value=_m5,
         gradient=lambda s: 2.0 * (s + [0.25, 0.75]),
-        hessian=lambda s: 2.0 * np.eye(2),
+        hessian=2.0 * np.eye(2),
         label="m5",
     ),
     "m6": TargetFunction(

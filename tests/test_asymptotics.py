@@ -63,10 +63,10 @@ class TestFiniteDifferences:
         m = target_function(name)
         for s in random_interior_points(10, 55, margin=0.05):
             assert_allclose(
-                fd_gradient(m.value, s), m.gradient(s), rtol=1e-4, atol=1e-6
+                fd_gradient(m.value, s), m.gradient_at(s[None])[0], rtol=1e-4, atol=1e-6
             )
             assert_allclose(
-                fd_hessian(m.value, s), m.hessian(s), rtol=1e-3, atol=1e-3
+                fd_hessian(m.value, s), m.hessian_at(s[None])[0], rtol=1e-3, atol=1e-3
             )
 
     def test_boundary_aware_stencils_stay_inside(self):
@@ -142,6 +142,50 @@ class TestArrayForm:
         for m in (one_point_gradient, one_point_hessian):
             with pytest.raises(MismatchError):
                 bias_g(m, random_interior_points(5, 3))
+
+    def test_one_point_gradient_with_the_constant_shape_raises(self):
+        # on n >= 3 points, s[0] + s[1] adds rows 0 and 1 and the result is
+        # (2,), the shape of a constant gradient
+        m1 = target_function("m1")
+        one_point = TargetFunction(
+            value=m1.value,
+            gradient=lambda s: np.array([1.0, 1.0]) / (1.0 + s[0] + s[1]),
+            hessian=m1.hessian,
+        )
+        with pytest.raises(MismatchError):
+            bias_g(one_point, random_interior_points(4, 3))
+
+    @pytest.mark.parametrize(
+        "gradient, hessian",
+        [(np.ones(3), np.zeros((2, 2))), (np.ones(2), np.zeros(2)),
+         (np.ones((1, 2)), np.zeros((2, 2))), (np.ones(2), np.zeros((1, 2, 2)))],
+    )
+    def test_constant_of_the_wrong_shape_raises(self, gradient, hessian):
+        m = TargetFunction(value=target_function("m5").value, gradient=gradient, hessian=hessian)
+        for s in ([0.2, 0.3], random_interior_points(4, 3)):
+            with pytest.raises(MismatchError):
+                bias_g(m, s)
+
+    def test_constant_hessian_matches_a_per_point_callable(self):
+        m5 = target_function("m5")
+        per_point = TargetFunction(
+            value=m5.value,
+            gradient=m5.gradient,
+            hessian=lambda s: np.broadcast_to(2.0 * np.eye(2), np.shape(s) + (2,)),
+        )
+        pts = np.vstack([random_interior_points(100, 17, margin=1e-3), EDGE_POINTS])
+        assert bias_g(m5, pts).tobytes() == bias_g(per_point, pts).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_constants_give_one_value_per_point(self, n):
+        m = TargetFunction(
+            value=target_function("m4").value, gradient=np.array([1.0, 2.0]),
+            hessian=target_function("m4").hessian,
+        )
+        pts = random_interior_points(5, 3)[:n]
+        assert m.gradient_at(pts).shape == (n, 2)
+        assert m.hessian_at(pts).shape == (n, 2, 2)
+        assert_allclose(m.gradient_at(pts), np.tile([1.0, 2.0], (n, 1)))
 
 
 class TestPsi:
@@ -290,8 +334,8 @@ class TestMseOptimal:
     def test_zero_bias_raises(self):
         m = TargetFunction(
             value=lambda s: np.asarray(s)[..., 0],
-            gradient=lambda s: np.array([1.0, 0.0]),
-            hessian=lambda s: np.zeros((2, 2)),
+            gradient=np.array([1.0, 0.0]),
+            hessian=np.zeros((2, 2)),
         )
         with pytest.raises(ZeroBiasError):
             mse_opt_bandwidth([1 / 3, 0.25], m, uniform_profile(1.0), 100)
@@ -319,8 +363,8 @@ class TestMiseOptimal:
         # integrals over the simplex give int g^2 = 3.25
         m = TargetFunction(
             value=lambda s: 2.0 + 3.0 * np.asarray(s)[..., 0] - np.asarray(s)[..., 1],
-            gradient=lambda s: np.array([3.0, -1.0]),
-            hessian=lambda s: np.zeros((2, 2)),
+            gradient=np.array([3.0, -1.0]),
+            hessian=np.zeros((2, 2)),
         )
         g2_int, _, _ = mise_constants(m, uniform_profile(1.0))
         assert g2_int == pytest.approx(3.25, rel=1e-6)
