@@ -46,10 +46,11 @@ from .errors import (
 from .geometry import SimplexPartition, voronoi_partition
 from .kernel import (
     WEIGHT_BLOCK_BYTES,
+    _centres,
     _check_bandwidth,
+    _kappa_columns,
+    _log_kappa_cell_bounds,
     _log_kernel_products,
-    kappa_columns,
-    log_kappa_cell_bounds,
     validate_points,
 )
 
@@ -150,13 +151,16 @@ def gm_weight_matrix(
     floor, and every other pair's weight and every flag stay as they are.
     """
     cfg = cfg or CubatureConfig()
+    _check_bandwidth(b)
     S = validate_points(eval_points, dim=2)
     m = S.shape[0]
-    f_batch = kappa_columns(S, b)
+    # the centres' log normalisations, shared by the integrand and the bounds
+    centres = _centres(S, b)
+    f_batch = _kappa_columns(*centres, b)
     cells = partition.cells
     floor = max(cfg.absolute_floor, cfg.relative_tolerance / (10 * len(cells)))
     cfg = replace(cfg, absolute_floor=floor)
-    bounds = log_kappa_cell_bounds(S, b, [cell.vertices for cell in cells])
+    bounds = _log_kappa_cell_bounds(*centres, b, [cell.vertices for cell in cells])
     skip = negligible_components(bounds, [cell.area for cell in cells], cfg)
     del bounds
     groups = _shared_point_groups(skip, cells)

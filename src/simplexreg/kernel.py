@@ -9,14 +9,17 @@ at ``s`` and it concentrates around ``s`` as ``b`` shrinks.
 Everything is evaluated in log space (log-gamma based), because the Dirichlet
 parameters reach the thousands for small bandwidths and direct gamma
 evaluation overflows.  All functions are pure and safe to call concurrently.
-``scipy.special`` is imported inside the functions that call it, here and in
-``asymptotics`` and ``simulation``, so NW/LL work such as ``simplexreg fit``
-never loads it.
+The log-gamma is the standard library's ``math.lgamma``, so the module needs
+numpy alone and NW, LL and GM work (``fit``, ``estimate``, ``simulate``)
+never loads ``scipy.special``; only the boundary constants of
+``asymptotics`` and the KS statistic of ``clt`` import it, inside the
+functions that call them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf, lgamma
 
 import numpy as np
 
@@ -150,15 +153,13 @@ def log_dirichlet_density(alpha, beta: float, x) -> float | np.ndarray:
     PoleError
         If an exponent below zero meets a zero coordinate.
     """
-    from scipy.special import gammaln
-
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any(a <= 0.0) or beta <= 0.0:
         raise DomainError("Dirichlet parameters must be positive")
     single = np.asarray(x).ndim == 1
     pts = validate_points(x, dim=a.size)
     rest = last_coordinate(pts)
-    norm = gammaln(a.sum() + beta) - gammaln(beta) - gammaln(a).sum()
+    norm = _log_gamma(a.sum() + beta) - _log_gamma(beta) - _log_gamma(a).sum()
     terms = _xlogy(a - 1.0, pts).sum(axis=1) + _xlogy(beta - 1.0, rest)
     out = norm + terms
     return float(out[0]) if single else out
@@ -191,13 +192,33 @@ def kappa(s, b: float, x) -> float | np.ndarray:
     return np.exp(log_kappa(s, b, x))
 
 
+def _lgamma_or_inf(v: float) -> float:
+    try:
+        return lgamma(v)
+    except OverflowError:
+        return inf
+
+
+def _log_gamma(x) -> np.ndarray:
+    """``math.lgamma`` of each element of a positive array, in its shape;
+    ``inf`` where it overflows (arguments above about 2.5e305, from
+    bandwidths below about 4e-306).  A kernel call needs a few thousand
+    values, so a Python loop costs little and keeps ``scipy.special``
+    (about 24 MiB of RSS) unloaded."""
+    x = np.asarray(x, dtype=float)
+    values = x.ravel().tolist()
+    try:
+        logs = list(map(lgamma, values))
+    except OverflowError:
+        logs = list(map(_lgamma_or_inf, values))
+    return np.array(logs).reshape(x.shape)
+
+
 def _centres(S: np.ndarray, b: float):
     """Full coordinates of validated centres and their log normalisations
     ``logGamma(1/b + d + 1) - sum_j logGamma(s_j/b + 1)``."""
-    from scipy.special import gammaln
-
     S_full = np.column_stack([S, last_coordinate(S)])
-    norm = gammaln(1.0 / b + S.shape[1] + 1.0) - gammaln(S_full / b + 1.0).sum(axis=1)
+    norm = _log_gamma(1.0 / b + S.shape[1] + 1.0) - _log_gamma(S_full / b + 1.0).sum(axis=1)
     return S_full, norm
 
 
@@ -255,7 +276,11 @@ def kappa_columns(eval_points, b: float):
     ``(q, d + 2) @ (d + 2, len(cols))`` product and an ``exp`` in place.
     """
     _check_bandwidth(b)
-    S_full, norm = _centres(validate_points(eval_points), b)
+    return _kappa_columns(*_centres(validate_points(eval_points), b), b)
+
+
+def _kappa_columns(S_full: np.ndarray, norm: np.ndarray, b: float):
+    """:func:`kappa_columns` of centres given by :func:`_centres`."""
     exponents = np.vstack([(S_full / b).T, norm])  # (d + 2, m)
     d = S_full.shape[1] - 1
 
@@ -314,7 +339,11 @@ def log_kappa_cell_bounds(eval_points, b: float, cells) -> np.ndarray:
     ``cells`` holds vertex arrays; a NaN bound means none is known.
     """
     _check_bandwidth(b)
-    S_full, norm = _centres(validate_points(eval_points), b)
+    return _log_kappa_cell_bounds(*_centres(validate_points(eval_points), b), b, cells)
+
+
+def _log_kappa_cell_bounds(S_full: np.ndarray, norm: np.ndarray, b: float, cells):
+    """:func:`log_kappa_cell_bounds` of centres given by :func:`_centres`."""
     centres = np.ascontiguousarray(S_full.T)
     m = centres.shape[1]
     out = np.empty((len(cells), m))

@@ -387,15 +387,20 @@ class TestMiseOptimal:
         assert flag is converged
         assert g2_int > 0 and v_int > 0
 
-    def test_array_profile_matches_constant_profile(self):
-        # callables returning one value per point give the same integral as
-        # the constants they reproduce
-        m5 = target_function("m5")
-        arrays = VarianceProfile(
-            sigma2=lambda s: np.full(np.shape(s)[:-1], 1.7),
+    def test_scalar_profile_serves_one_point_not_a_batch(self):
+        # a callable gives one value per point: a scalar is that value at a
+        # single point (variance_leading) and the wrong shape for the
+        # batches of mise_constants
+        scalar = VarianceProfile(
+            sigma2=lambda s: 1.7,
             design_density=lambda s: np.full(np.shape(s)[:-1], 2.0),
         )
-        assert mise_constants(m5, arrays) == mise_constants(m5, uniform_profile(1.7))
+        args = ([0.3, 0.3], (), [2, 2])
+        assert variance_leading(*args, scalar, 100, 0.1) == variance_leading(
+            *args, uniform_profile(1.7), 100, 0.1
+        )
+        with pytest.raises(MismatchError, match="profile.sigma2"):
+            mise_constants(target_function("m5"), scalar)
 
     @pytest.mark.parametrize("field", ["sigma2", "design_density"])
     def test_rejects_profile_values_of_the_wrong_shape(self, field):

@@ -21,6 +21,33 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def assert_never_loads_scipy_special(tmp_path, *args):
+    """Run the CLI with ``args`` in a fresh interpreter and check that it
+    succeeds without loading scipy.special (about 24 MiB of RSS and half
+    the package's import time)."""
+    script = (
+        "import sys\n"
+        "from simplexreg.cli import cli_main\n"
+        f"code = cli_main({list(args)!r})\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout
+
+
 def make_design_csv(path, n=28, seed=4, fn=lambda p: np.log1p(p[:, 0] + p[:, 1])):
     from simplexreg import mesh_design_points
 
@@ -102,6 +129,15 @@ class TestEstimate:
         code, out_missed, err = run_cli(capsys, *args)
         assert code == 0 and out_missed == out
         assert err == "warning: cubature tolerance not reached in 3 of 28 cells\n"
+
+    def test_gm_never_imports_scipy_special(self, tmp_path):
+        # the GM kernel's log-gamma is math.lgamma
+        design = make_design_csv(tmp_path / "design.csv")
+        assert_never_loads_scipy_special(
+            tmp_path,
+            "estimate", "--method", "GM", "--design", str(design),
+            "--bandwidth", "0.1", "--at", "0.3,0.3", "--out", str(tmp_path / "est.csv"),
+        )
 
     def test_missing_point_spec_is_usage_error(self, tmp_path, capsys):
         design = make_design_csv(tmp_path / "design.csv")
@@ -250,6 +286,15 @@ class TestSimulate:
         code, out_missed, err = run_cli(capsys, *args)
         assert code == 0 and out_missed == out
         assert err == "warning: cubature tolerance not reached in some cells of 2 of 4 rows\n"
+
+    def test_never_imports_scipy_special(self, tmp_path):
+        # a study (LSCV selection, GM/NW/LL estimates, ISEs) runs on numpy alone
+        assert_never_loads_scipy_special(
+            tmp_path,
+            "simulate", "--functions", "m1", "--k", "3", "--methods", "GM,NW,LL",
+            "--reps", "1", "--seed", "5", "--lscv-sample-size", "40",
+            "--out", str(tmp_path / "study.csv"),
+        )
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(
@@ -425,32 +470,13 @@ class TestFit:
         assert code == 2
 
     def test_never_imports_scipy_special(self, tmp_path):
-        # NW/LL need no log-gamma, so a fresh interpreter running `fit`
-        # never loads scipy.special (about half the package's import time)
+        # NW/LL need no log-gamma, so `fit` never loads scipy.special
         data = make_soil_csv(tmp_path / "soil.csv")
-        script = (
-            "import sys\n"
-            "from simplexreg.cli import cli_main\n"
-            f"code = cli_main(['fit', '--input', {str(data)!r}, "
-            f"'--out', {str(tmp_path / 'grid.csv')!r}, '--grid-resolution', '8', "
-            "'--grid-size', '5', '--no-refine'])\n"
-            "assert code == 0, code\n"
-            "assert 'scipy.special' not in sys.modules\n"
+        assert_never_loads_scipy_special(
+            tmp_path,
+            "fit", "--input", str(data), "--out", str(tmp_path / "grid.csv"),
+            "--grid-resolution", "8", "--grid-size", "5", "--no-refine",
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=tmp_path,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stdout
 
 
 class TestClt:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from simplexreg import (
 from simplexreg.cubature import _BARY, _graded_roots
 from simplexreg.errors import DomainError, PoleError
 from simplexreg.kernel import (
+    _log_gamma,
     kappa_columns,
     kernel_params,
     log_kappa_cell_bounds,
@@ -65,6 +68,37 @@ class TestLogDirichletDensity:
     def test_float_noise_is_clamped(self):
         value = log_dirichlet_density([1.5, 1.5], 1.5, [0.3, 0.7 + 1e-13])
         assert np.isfinite(value) or value == -np.inf
+
+
+class TestLogGamma:
+    # below 1 (Dirichlet parameters in (0, 1)), around the minimum, and the
+    # kernel's largest argument 1/b + 3 at b = 1e-6
+    ARGS = np.array([1e-300, 1e-3, 0.25, 0.5, 0.999, 1.0, 1.4616, 2.0, 7.5, 1e3, 1e6 + 3.0])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array(0.3),
+            ARGS,
+            ARGS.reshape(11, 1),
+            random_interior_points(7, 5) / 1e-3 + 1.0,  # s / b + 1 at b = 1e-3
+        ],
+        ids=["0-d", "(d,)", "(d, 1)", "(m, d)"],
+    )
+    def test_equals_math_lgamma_in_the_shape_given(self, x):
+        got = _log_gamma(x)
+        assert got.shape == x.shape
+        assert [float(v) for v in got.ravel()] == [math.lgamma(v) for v in x.ravel()]
+
+    def test_matches_scipy_gammaln(self):
+        from scipy.special import gammaln
+
+        x = np.concatenate([self.ARGS, np.geomspace(1e-6, 1e7, 400)])
+        want = gammaln(x)
+        assert np.all(np.abs(_log_gamma(x) - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_overflow_is_infinite(self):
+        assert np.array_equal(_log_gamma([0.5, 1e307]), [math.lgamma(0.5), np.inf])
 
 
 class TestKappa:

@@ -60,6 +60,21 @@ def test_rule_sees_broad_handlers(source, hides):
     assert (_is_broad(handler) and not _reraises(handler)) == hides
 
 
+# The only modules that call scipy: the boundary constants of `asymptotics`
+# (`_gamma_shrink_factor`) and the KS statistic of `clt` (`simulation`).
+SCIPY_MODULES = {"asymptotics.py", "simulation.py"}
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
 def _module_level_scipy_imports(tree: ast.Module) -> list[int]:
     """Lines of the scipy imports that run when the module is imported:
     every one outside a function body (class bodies and ``try`` blocks at
@@ -69,13 +84,7 @@ def _module_level_scipy_imports(tree: ast.Module) -> list[int]:
     def visit(node):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             return
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            names = []
-        if any(name.split(".")[0] == "scipy" for name in names):
+        if _imports_scipy(node):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -86,10 +95,20 @@ def _module_level_scipy_imports(tree: ast.Module) -> list[int]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scipy_is_imported_only_inside_functions(path):
-    # importing the package must not load scipy: `simplexreg fit` never
-    # calls it, and loading scipy.special added 18.6 MiB to its peak RSS
+    # importing the package must not load scipy: `fit`, `estimate` and
+    # `simulate` never call it, and loading scipy.special adds about 24 MiB
+    # to a command's peak RSS
     lines = _module_level_scipy_imports(ast.parse(path.read_text(), filename=str(path)))
     assert lines == [], f"{path.name}: module-level scipy import at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_asymptotic_statistics_import_scipy(path):
+    # GM, NW and LL run on numpy alone (the kernel's log-gamma is
+    # math.lgamma), so no other module may import scipy, even in a function
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _imports_scipy(node)]
+    assert path.name in SCIPY_MODULES or lines == [], f"{path.name}: scipy import at lines {lines}"
 
 
 @pytest.mark.parametrize(
